@@ -119,5 +119,6 @@ __all__ = [
     "swap_fidelity_n2",
     "tensor",
     "thermal_state",
+    "transducer_to_channel",
     "__version__",
 ]

@@ -13,15 +13,20 @@ Subcommands:
   written as CSV with the fixed header ``axis1,axis2,quantity,value,method``
   plus a ``<name>.meta.json`` sidecar (version, config hash, tolerances).
 
+Every quantity that ``fidelity`` and ``sweep`` evaluate is one entry of
+``QUANTITIES``: its closed-form call, its oracle call, and the parameters it
+takes, which config validation reads.
+
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
-parameters (the physicality margin is reported, never clamped), 3 oracle
-request outside the tractable window (k > 6).
+parameters (the physicality margin is reported, never clamped), 3 request
+intractable for the brute-force path (k > 6 bins, a Fock truncation it
+cannot certify, or a herald of zero probability).
 
 Sweep configs are a single JSON object; unknown keys are errors and every
 schema violation is listed before exiting. The grid is evaluated by a
-parallel map over pure functions (``TBSWAP_THREADS`` caps the pool) and
-assembled in row-major axis order, so output bytes are stable for a fixed
-config and package version.
+parallel map over pure functions on a fixed pool of min(8, CPU count)
+threads and assembled in row-major axis order, so output bytes are stable
+for a fixed config and package version.
 """
 
 from __future__ import annotations
@@ -46,11 +51,12 @@ from .channel import (
     bose_einstein,
     transducer_to_channel,
 )
-from .fock import TruncationConfig
+from .fock import TruncationConfig, TruncationError
 from .states import QubitTimeBinSpec, state_fidelity_analytic, state_fidelity_oracle
 from .swap import (
     DetectionPattern,
     HeraldClass,
+    ImpossibleEventError,
     classify_single_photon,
     classify_two_photon,
     heralded_state,
@@ -71,13 +77,6 @@ FLOAT_FORMAT = ".12g"
 
 TOLERANCES = {"closed_form_vs_oracle": 1e-5, "physicality_margin": 1e-12}
 
-QUANTITIES = (
-    "state_fidelity",
-    "swap_fidelity",
-    "swap_infidelity",
-    "fidelity_ratio_n1_n2",
-    "optimal_k",
-)
 METHODS = ("analytic", "oracle", "both")
 AXIS_NAMES = ("eta", "nbar", "N", "C", "zeta", "k", "n")
 FIXED_NAMES = AXIS_NAMES + ("nth", "k_max")
@@ -105,24 +104,15 @@ def _fmt(value: float) -> str:
     return format(float(value), FLOAT_FORMAT)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(args: argparse.Namespace, payload: dict[str, Any], text: str | None = None) -> None:
+    """Write text, or payload as JSON under --json or when there is no text
+    form, to the --out path or stdout."""
+    if args.json or text is None:
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    if args.out is None:
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TBSWAP_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise CliError(f"TBSWAP_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise CliError(f"TBSWAP_THREADS must be positive, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +153,17 @@ def _linspace(lo: float, hi: float, steps: int) -> tuple[float, ...]:
     return tuple(lo + (hi - lo) * i / (steps - 1) for i in range(steps))
 
 
-_DOMAIN: dict[str, Callable[[float], bool]] = {
-    "eta": lambda v: 0.0 < v <= 1.0,
-    "nbar": lambda v: v >= 0.0,
-    "N": lambda v: v >= 0.0,
-    "C": lambda v: v > 0.0,
-    "zeta": lambda v: 0.0 < v <= 1.0,
-    "nth": lambda v: v >= 0.0,
-    "k": lambda v: v >= 1,
-    "n": lambda v: v in (1, 2),
-    "k_max": lambda v: v >= 1,
-}
-
-_DOMAIN_TEXT = {
-    "eta": "in (0, 1]",
-    "nbar": ">= 0",
-    "N": ">= 0",
-    "C": "> 0",
-    "zeta": "in (0, 1]",
-    "nth": ">= 0",
-    "k": "an integer >= 1",
-    "n": "1 or 2",
-    "k_max": "an integer >= 1",
+# parameter -> (domain test, domain as text)
+_DOMAIN: dict[str, tuple[Callable[[float], bool], str]] = {
+    "eta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "nbar": (lambda v: v >= 0.0, ">= 0"),
+    "N": (lambda v: v >= 0.0, ">= 0"),
+    "C": (lambda v: v > 0.0, "> 0"),
+    "zeta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "nth": (lambda v: v >= 0.0, ">= 0"),
+    "k": (lambda v: v >= 1, "an integer >= 1"),
+    "n": (lambda v: v in (1, 2), "1 or 2"),
+    "k_max": (lambda v: v >= 1, "an integer >= 1"),
 }
 
 
@@ -199,8 +178,9 @@ def _check_value(name: str, value: Any, where: str, violations: list[str]) -> An
         value = int(value)
     else:
         value = float(value)
-    if not _DOMAIN[name](value):
-        violations.append(f"{where}: {name} must be {_DOMAIN_TEXT[name]}, got {value!r}")
+    in_domain, domain = _DOMAIN[name]
+    if not in_domain(value):
+        violations.append(f"{where}: {name} must be {domain}, got {value!r}")
         return None
     return value
 
@@ -309,34 +289,27 @@ def parse_sweep_config(doc: Any) -> tuple[SweepSection | None, str | None, list[
         if name in fixed:
             violations.append(f"config: {name!r} is both an axis and fixed")
 
-    violations.extend(
-        _check_parameter_closure(quantity, method, axis1, axis2, fixed)
-    )
-
     section = SweepSection(
         quantity=quantity, axis1=axis1, axis2=axis2, fixed=fixed, method=method
     )
+    violations.extend(_check_parameter_closure(section))
     return section, out, violations
 
 
-def _check_parameter_closure(
-    quantity: str,
-    method: str,
-    axis1: SweepAxis,
-    axis2: SweepAxis | None,
-    fixed: dict[str, float],
-) -> list[str]:
+def _values_of(section: SweepSection, name: str) -> list[float]:
+    """The values a section gives a parameter, on an axis or fixed."""
+    for axis in (section.axis1, section.axis2):
+        if axis is not None and axis.name == name:
+            return list(axis.values)
+    return [section.fixed[name]] if name in section.fixed else []
+
+
+def _check_parameter_closure(section: SweepSection) -> list[str]:
     """The axes plus fixed parameters must pin down exactly one channel and
     the bin/photon numbers the quantity needs."""
     violations: list[str] = []
-
-    def values_of(name: str) -> list[float]:
-        for axis in (axis1, axis2):
-            if axis is not None and axis.name == name:
-                return list(axis.values)
-        return [fixed[name]] if name in fixed else []
-
-    present = {axis1.name} | ({axis2.name} if axis2 is not None else set()) | set(fixed)
+    quantity, fixed = section.quantity, section.fixed
+    present = {name for name in FIXED_NAMES if _values_of(section, name)}
 
     transducer_mode = "zeta" in present or "C" in present or "nth" in present
     direct_mode = "eta" in present or "nbar" in present or "N" in present
@@ -359,61 +332,53 @@ def _check_parameter_closure(
     else:
         violations.append("config: no channel parameters (eta+nbar/N or zeta+C+nth)")
 
-    per_bin = quantity in ("state_fidelity", "swap_fidelity", "swap_infidelity")
-    if per_bin and "k" not in present:
+    entry = QUANTITIES[quantity]
+    if entry.takes_k and "k" not in present:
         violations.append(f"config: {quantity} needs k (axis or fixed)")
-    if not per_bin and "n" in present:
+    if not entry.takes_k and "n" in present:
         violations.append(f"config: {quantity} does not take n")
-    if quantity == "fidelity_ratio_n1_n2" and "k" in present:
-        violations.append(
-            "config: fidelity_ratio_n1_n2 compares the two-bin encodings; "
-            "k must not be set"
-        )
-    if quantity == "optimal_k" and "k" in present:
-        violations.append("config: optimal_k scans k itself; k must not be set")
-    if "k_max" in fixed and quantity != "optimal_k":
-        violations.append("config: k_max applies only to optimal_k")
+    if not entry.takes_k and "k" in present:
+        reason = "scans k itself" if entry.scans_k else "fixes its own bin count"
+        violations.append(f"config: {quantity} {reason}; k must not be set")
+    if "k_max" in fixed and not entry.scans_k:
+        violations.append(f"config: {quantity} does not scan k; k_max must not be set")
 
-    if 2 in values_of("n"):
-        if any(kv != 2 for kv in values_of("k")):
+    if 2 in _values_of(section, "n"):
+        if any(kv != 2 for kv in _values_of(section, "k")):
             violations.append("config: n = 2 encodings are two-bin; every k must be 2")
-        if quantity == "state_fidelity" and method != "oracle":
+        if not entry.analytic_n2 and section.method != "oracle":
             violations.append(
-                "config: state_fidelity has no closed form for n = 2; use method oracle"
+                f"config: {quantity} has no closed form for n = 2; use method oracle"
             )
     return violations
 
 
 def _max_k_request(section: SweepSection) -> int:
-    values: list[float] = []
-    for axis in (section.axis1, section.axis2):
-        if axis is not None and axis.name == "k":
-            values.extend(axis.values)
-    if "k" in section.fixed:
-        values.append(section.fixed["k"])
-    if section.quantity in ("optimal_k", "swap_infidelity_at_optimal_k"):
-        values.append(section.fixed.get("k_max", 32))
+    values = _values_of(section, "k")
+    if QUANTITIES[section.quantity].scans_k:
+        values.append(_k_max(section.fixed))
     return int(max(values, default=1))
 
 
-def _guard_tractable(sections: Sequence[SweepSection]) -> None:
-    for section in sections:
-        if section.method in ("oracle", "both"):
-            worst = _max_k_request(section)
-            if worst > ORACLE_MAX_BINS:
-                raise CliError(
-                    f"oracle evaluation of {section.quantity} would need k = {worst} "
-                    f"bins; the brute-force path is limited to k <= {ORACLE_MAX_BINS}. "
-                    f"Use method analytic for larger k.",
-                    EXIT_INTRACTABLE,
-                )
+def _guard_tractable(quantity: str, method: str, k: int) -> None:
+    if method != "analytic" and k > ORACLE_MAX_BINS:
+        raise CliError(
+            f"oracle evaluation of {quantity} would need k = {k} "
+            f"bins; the brute-force path is limited to k <= {ORACLE_MAX_BINS}. "
+            f"Use method analytic for larger k.",
+            EXIT_INTRACTABLE,
+        )
 
 
 # ---------------------------------------------------------------------------
-# point evaluation
+# quantities and point evaluation
+#
+# The table entries below call library functions by their names in this
+# module when they run, so code that replaces one of those names (a test
+# double, a tracer) sees every call.
 
 
-def _channel_for(params: dict[str, float]) -> ChannelParams:
+def _channel_for(params: dict[str, Any]) -> ChannelParams:
     if "zeta" in params:
         tp = TransducerParams(
             zeta_m=params["zeta"],
@@ -427,68 +392,111 @@ def _channel_for(params: dict[str, float]) -> ChannelParams:
     return ChannelParams.from_eta_nbar(params["eta"], params["nbar"])
 
 
-def _evaluate_analytic(quantity: str, params: dict[str, float]) -> float:
-    p = _channel_for(params)
-    n = int(params.get("n", 1))
-    if quantity == "state_fidelity":
-        return state_fidelity_analytic(QubitTimeBinSpec(k=int(params["k"]), n=n), p)
-    if quantity in ("swap_fidelity", "swap_infidelity"):
-        if n == 2:
-            result = swap_fidelity_n2(p)
-        else:
-            result = swap_fidelity_k(p, int(params["k"]))
-        return result.fidelity if quantity == "swap_fidelity" else result.infidelity
-    if quantity == "fidelity_ratio_n1_n2":
-        return swap_fidelity_n1(p).fidelity / swap_fidelity_n2(p).fidelity
-    if quantity == "optimal_k":
-        return float(optimal_k(p, int(params.get("k_max", 32)))[0])
-    if quantity == "swap_infidelity_at_optimal_k":
-        return optimal_k(p, int(params.get("k_max", 32)))[1]
-    raise ValueError(f"unknown quantity {quantity!r}")
+def _spec(q: dict[str, Any]) -> QubitTimeBinSpec:
+    return QubitTimeBinSpec(k=int(q["k"]), n=int(q.get("n", 1)))
 
 
-def _oracle_swap(p: ChannelParams, k: int, n: int) -> tuple[float, float]:
-    spec = QubitTimeBinSpec(k=k, n=n)
-    if n == 1:
-        pattern = DetectionPattern.canonical(k)
+def _truncation(q: dict[str, Any]) -> TruncationConfig:
+    return TruncationConfig.for_encoding(int(q.get("n", 1)))
+
+
+def _k_max(q: dict[str, Any]) -> int:
+    return int(q.get("k_max", 32))
+
+
+def _swap_analytic(p: ChannelParams, q: dict[str, Any]) -> tuple[float, float]:
+    result = swap_fidelity_n2(p) if q.get("n", 1) == 2 else swap_fidelity_k(p, int(q["k"]))
+    return result.fidelity, result.K0
+
+
+def _swap_oracle(p: ChannelParams, q: dict[str, Any]) -> tuple[float, float]:
+    spec = _spec(q)
+    if spec.n == 1:
+        pattern = DetectionPattern.canonical(spec.k)
     else:
         pattern = DetectionPattern(k=2, counts=((2, 0), (2, 0)))
-    cfg = TruncationConfig.for_encoding(n)
-    h = heralded_state(p, p, spec, pattern, cfg)
+    h = heralded_state(p, p, spec, pattern, _truncation(q))
     return h.fidelity_phi_plus, h.success_probability
 
 
-def _evaluate_oracle(quantity: str, params: dict[str, float]) -> float:
-    p = _channel_for(params)
-    n = int(params.get("n", 1))
-    if quantity == "state_fidelity":
-        spec = QubitTimeBinSpec(k=int(params["k"]), n=n)
-        return state_fidelity_oracle(spec, p, TruncationConfig.for_encoding(n))
-    if quantity in ("swap_fidelity", "swap_infidelity"):
-        fid, _ = _oracle_swap(p, int(params["k"]), n)
-        return fid if quantity == "swap_fidelity" else 1.0 - fid
-    if quantity == "fidelity_ratio_n1_n2":
-        f1, _ = _oracle_swap(p, 2, 1)
-        f2, _ = _oracle_swap(p, 2, 2)
-        return f1 / f2
-    if quantity in ("optimal_k", "swap_infidelity_at_optimal_k"):
-        k_max = int(params.get("k_max", 32))
-        best_k, best = 1, 1.0 - _oracle_swap(p, 1, 1)[0]
-        for k in range(2, k_max + 1):
-            inf = 1.0 - _oracle_swap(p, k, 1)[0]
-            if inf < best:
-                best_k, best = k, inf
-        return float(best_k) if quantity == "optimal_k" else best
-    raise ValueError(f"unknown quantity {quantity!r}")
+def _oracle_optimal_k(p: ChannelParams, q: dict[str, Any]) -> tuple[int, float]:
+    """Brute-force counterpart of analytic.optimal_k: scans heralded states."""
+    best_k, best = 1, 1.0 - _swap_oracle(p, {"k": 1})[0]
+    for k in range(2, _k_max(q) + 1):
+        inf = 1.0 - _swap_oracle(p, {"k": k})[0]
+        if inf < best:
+            best_k, best = k, inf
+    return best_k, best
 
 
-_EVALUATORS = {"analytic": _evaluate_analytic, "oracle": _evaluate_oracle}
+Evaluation = Callable[[ChannelParams, dict[str, Any]], tuple[float, float | None]]
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """One evaluable quantity: two independent evaluations and its parameters.
+
+    analytic and oracle map (channel, point parameters) to (value, K0), where
+    K0 is the herald success weight of the swap fidelity and None elsewhere.
+    """
+
+    analytic: Evaluation
+    oracle: Evaluation
+    takes_k: bool = False  # a per-bin quantity: needs k, accepts n
+    scans_k: bool = False  # scans k = 1..k_max itself
+    analytic_n2: bool = True  # the closed form covers n = 2 encodings
+
+
+QUANTITIES: dict[str, Quantity] = {
+    "state_fidelity": Quantity(
+        lambda p, q: (state_fidelity_analytic(_spec(q), p), None),
+        lambda p, q: (state_fidelity_oracle(_spec(q), p, _truncation(q)), None),
+        takes_k=True,
+        analytic_n2=False,
+    ),
+    "swap_fidelity": Quantity(_swap_analytic, _swap_oracle, takes_k=True),
+    "swap_infidelity": Quantity(
+        lambda p, q: (1.0 - _swap_analytic(p, q)[0], None),
+        lambda p, q: (1.0 - _swap_oracle(p, q)[0], None),
+        takes_k=True,
+    ),
+    "fidelity_ratio_n1_n2": Quantity(
+        lambda p, q: (swap_fidelity_n1(p).fidelity / swap_fidelity_n2(p).fidelity, None),
+        lambda p, q: (_swap_oracle(p, {"k": 2})[0] / _swap_oracle(p, {"k": 2, "n": 2})[0], None),
+    ),
+    "optimal_k": Quantity(
+        lambda p, q: (float(optimal_k(p, _k_max(q))[0]), None),
+        lambda p, q: (float(_oracle_optimal_k(p, q)[0]), None),
+        scans_k=True,
+    ),
+    "swap_infidelity_at_optimal_k": Quantity(
+        lambda p, q: (optimal_k(p, _k_max(q))[1], None),
+        lambda p, q: (_oracle_optimal_k(p, q)[1], None),
+        scans_k=True,
+    ),
+}
+
+
+def _evaluator(method: str) -> Callable[[str, dict[str, Any]], float]:
+    def evaluate(quantity: str, params: dict[str, Any]) -> float:
+        return getattr(QUANTITIES[quantity], method)(_channel_for(params), params)[0]
+
+    return evaluate
+
+
+_EVALUATORS = {method: _evaluator(method) for method in ("analytic", "oracle")}
+
+
+def _methods(method: str) -> tuple[str, ...]:
+    return ("analytic", "oracle") if method == "both" else (method,)
 
 
 def run_sections(sections: Sequence[SweepSection]) -> list[tuple[str, str, str, str, str]]:
     """Evaluate every section and return CSV rows in deterministic order."""
     rows: list[tuple[str, str, str, str, str]] = []
-    threads = _thread_count()
+    # Oracle points spend most of their time in numpy, which releases the
+    # GIL, so two threads run a method-both sweep about 1.3x faster than one.
+    threads = min(8, os.cpu_count() or 1)
     for section in sections:
         points: list[tuple[str, str, dict[str, float]]] = []
         if section.axis2 is None:
@@ -503,8 +511,7 @@ def run_sections(sections: Sequence[SweepSection]) -> list[tuple[str, str, str, 
                     params[section.axis1.name] = v1
                     params[section.axis2.name] = v2
                     points.append((_fmt(v1), _fmt(v2), params))
-        methods = ("analytic", "oracle") if section.method == "both" else (section.method,)
-        for method in methods:
+        for method in _methods(section.method):
             evaluate = _EVALUATORS[method]
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 values = list(pool.map(lambda pt: evaluate(section.quantity, pt[2]), points))
@@ -604,7 +611,7 @@ def cmd_transducer(args: argparse.Namespace) -> int:
             "physicality_margin": exc.margin,
             "error": str(exc),
         }
-        _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
+        _emit(args, report)
         return EXIT_UNPHYSICAL
     report = {
         "eta": p.eta,
@@ -615,86 +622,52 @@ def cmd_transducer(args: argparse.Namespace) -> int:
         "physical": True,
         "physicality_margin": p.physicality_margin,
     }
-    _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
+    _emit(args, report)
     return EXIT_OK
 
 
-def _cli_channel(args: argparse.Namespace) -> ChannelParams:
-    if args.N is not None:
-        return ChannelParams(eta=args.eta, N=args.N)
-    return ChannelParams.from_eta_nbar(args.eta, args.nbar)
+def _given(args: argparse.Namespace) -> dict[str, Any]:
+    """The options given on the command line, as point parameters."""
+    return {name: value for name, value in vars(args).items() if value is not None}
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
+    name = f"{args.kind}_fidelity"
+    quantity = QUANTITIES[name]
     if args.n == 2 and args.k != 2:
         raise CliError("n = 2 encodings are two-bin; --k must be 2")
-    wants_oracle = args.method in ("oracle", "both")
-    if args.n == 2 and args.kind == "state" and args.method != "oracle":
-        raise CliError("state fidelity has no closed form for n = 2; use --method oracle")
-    if wants_oracle and args.k > ORACLE_MAX_BINS:
-        raise CliError(
-            f"oracle evaluation is limited to k <= {ORACLE_MAX_BINS} bins "
-            f"(got k = {args.k}); use --method analytic for larger k",
-            EXIT_INTRACTABLE,
-        )
-    p = _cli_channel(args)
-
-    def one(method: str) -> dict[str, float]:
-        if args.kind == "state":
-            spec = QubitTimeBinSpec(k=args.k, n=args.n)
-            if method == "analytic":
-                fid = state_fidelity_analytic(spec, p)
-            else:
-                fid = state_fidelity_oracle(spec, p, TruncationConfig.for_encoding(args.n))
-            return {"fidelity": fid, "infidelity": 1.0 - fid}
-        if method == "analytic":
-            result = swap_fidelity_n2(p) if args.n == 2 else swap_fidelity_k(p, args.k)
-            return {
-                "fidelity": result.fidelity,
-                "infidelity": result.infidelity,
-                "K0": result.K0,
-            }
-        fid, k0 = _oracle_swap(p, args.k, args.n)
-        return {"fidelity": fid, "infidelity": 1.0 - fid, "K0": k0}
+    if args.n == 2 and not quantity.analytic_n2 and args.method != "oracle":
+        raise CliError(f"{args.kind} fidelity has no closed form for n = 2; use --method oracle")
+    _guard_tractable(name, args.method, args.k)
+    params = _given(args)
+    p = _channel_for(params)
+    blocks: dict[str, dict[str, float]] = {}
+    for method in _methods(args.method):
+        fid, k0 = getattr(quantity, method)(p, params)
+        blocks[method] = {"fidelity": fid, "infidelity": 1.0 - fid}
+        if k0 is not None:
+            blocks[method]["K0"] = k0
 
     base = {"kind": args.kind, "eta": p.eta, "N": p.N, "k": args.k, "n": args.n}
+    where = f"eta = {_fmt(p.eta)}, N = {_fmt(p.N)}, k = {args.k}, n = {args.n}"
     if args.method == "both":
-        analytic = one("analytic")
-        oracle = one("oracle")
-        delta = abs(analytic["fidelity"] - oracle["fidelity"])
-        payload = {**base, "method": "both", "analytic": analytic, "oracle": oracle,
-                   "delta": delta}
-        if args.json:
-            _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-        else:
-            lines = [
-                f"{args.kind} fidelity at eta = {_fmt(p.eta)}, N = {_fmt(p.N)}, "
-                f"k = {args.k}, n = {args.n}:"
-            ]
-            for method in ("analytic", "oracle"):
-                block = payload[method]
-                extra = f", K0 = {_fmt(block['K0'])}" if "K0" in block else ""
-                lines.append(
-                    f"  {method}: fidelity = {_fmt(block['fidelity'])}, "
-                    f"infidelity = {_fmt(block['infidelity'])}{extra}"
-                )
-            lines.append(f"  disagreement |delta F| = {_fmt(delta)}")
-            _emit("\n".join(lines), args.out)
-        return EXIT_OK
-    block = one(args.method)
-    payload = {**base, "method": args.method, **block}
-    if args.json:
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+        delta = abs(blocks["analytic"]["fidelity"] - blocks["oracle"]["fidelity"])
+        payload = {**base, "method": "both", **blocks, "delta": delta}
+        lines = [f"{args.kind} fidelity at {where}:"]
+        lines += [f"  {method}: {_fidelity_text(block)}" for method, block in blocks.items()]
+        lines.append(f"  disagreement |delta F| = {_fmt(delta)}")
+        text = "\n".join(lines)
     else:
-        extra = f", K0 = {_fmt(block['K0'])}" if "K0" in block else ""
-        _emit(
-            f"{args.kind} fidelity ({args.method}) at eta = {_fmt(p.eta)}, "
-            f"N = {_fmt(p.N)}, k = {args.k}, n = {args.n}: "
-            f"fidelity = {_fmt(block['fidelity'])}, "
-            f"infidelity = {_fmt(block['infidelity'])}{extra}",
-            args.out,
-        )
+        block = blocks[args.method]
+        payload = {**base, "method": args.method, **block}
+        text = f"{args.kind} fidelity ({args.method}) at {where}: {_fidelity_text(block)}"
+    _emit(args, payload, text)
     return EXIT_OK
+
+
+def _fidelity_text(block: dict[str, float]) -> str:
+    extra = f", K0 = {_fmt(block['K0'])}" if "K0" in block else ""
+    return f"fidelity = {_fmt(block['fidelity'])}, infidelity = {_fmt(block['infidelity'])}{extra}"
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -725,18 +698,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if label in (HeraldClass.PhiPlus, HeraldClass.PhiMinus) and single:
         p1, p2 = parity_trace(pattern)
         payload["parity"] = [p1, p2]
-    if args.json:
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-    else:
-        text = label.value
-        if "parity" in payload:
-            text += f" (parity trace P1 = {payload['parity'][0]:+d}, P2 = {payload['parity'][1]:+d})"
-        _emit(text, args.out)
+    text = label.value
+    if "parity" in payload:
+        text += f" (parity trace P1 = {payload['parity'][0]:+d}, P2 = {payload['parity'][1]:+d})"
+    _emit(args, payload, text)
     return EXIT_OK
 
 
 def cmd_optimal_k(args: argparse.Namespace) -> int:
-    p = _cli_channel(args)
+    p = _channel_for(_given(args))
     best_k, infidelity = optimal_k(p, args.k_max)
     payload = {
         "eta": p.eta,
@@ -746,14 +716,8 @@ def cmd_optimal_k(args: argparse.Namespace) -> int:
         "infidelity": infidelity,
         "fidelity": 1.0 - infidelity,
     }
-    if args.json:
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-    else:
-        _emit(
-            f"k* = {best_k} (infidelity = {_fmt(infidelity)}) at eta = {_fmt(p.eta)}, "
-            f"N = {_fmt(p.N)}, scanned k = 1..{args.k_max}",
-            args.out,
-        )
+    _emit(args, payload, f"k* = {best_k} (infidelity = {_fmt(infidelity)}) at eta = "
+                         f"{_fmt(p.eta)}, N = {_fmt(p.N)}, scanned k = 1..{args.k_max}")
     return EXIT_OK
 
 
@@ -784,7 +748,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             out = Path(config_out)
         else:
             raise CliError("no output path: set 'out' in the config or pass --out")
-    _guard_tractable(sections)
+    for section in sections:
+        _guard_tractable(section.quantity, section.method, _max_k_request(section))
     count = write_sweep(sections, out)
     summary = {
         "rows": count,
@@ -807,6 +772,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--json", action="store_true", help="machine-readable output")
+    channel = _Parser(add_help=False)
+    channel.add_argument("--eta", type=float, required=True, help="channel transmissivity")
+    group = channel.add_mutually_exclusive_group(required=True)
+    group.add_argument("--nbar", type=float, help="channel thermal occupation")
+    group.add_argument("--N", dest="N", type=float, help="channel noise parameter")
 
     parser = _Parser(prog="tbswap", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"tbswap {__version__}")
@@ -827,13 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(func=cmd_transducer)
 
     p_fi = sub.add_parser(
-        "fidelity", parents=[common], help="single fidelity evaluation",
+        "fidelity", parents=[common, channel], help="single fidelity evaluation",
     )
     p_fi.add_argument("kind", choices=("state", "swap"))
-    p_fi.add_argument("--eta", type=float, required=True, help="channel transmissivity")
-    group = p_fi.add_mutually_exclusive_group(required=True)
-    group.add_argument("--nbar", type=float, help="channel thermal occupation")
-    group.add_argument("--N", dest="N", type=float, help="channel noise parameter")
     p_fi.add_argument("--k", type=int, required=True, help="number of time bins")
     p_fi.add_argument("--n", type=int, default=1, choices=(1, 2),
                       help="photons per occupied branch")
@@ -851,12 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.set_defaults(func=cmd_classify)
 
     p_ok = sub.add_parser(
-        "optimal-k", parents=[common], help="best bin count for a channel",
+        "optimal-k", parents=[common, channel], help="best bin count for a channel",
     )
-    p_ok.add_argument("--eta", type=float, required=True, help="channel transmissivity")
-    group = p_ok.add_mutually_exclusive_group(required=True)
-    group.add_argument("--nbar", type=float, help="channel thermal occupation")
-    group.add_argument("--N", dest="N", type=float, help="channel noise parameter")
     p_ok.add_argument("--k-max", dest="k_max", type=int, default=32,
                       help="largest bin count scanned")
     p_ok.set_defaults(func=cmd_optimal_k)
@@ -885,6 +847,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (TruncationError, ImpossibleEventError) as exc:
+        print(f"intractable for the brute-force path: {exc}", file=sys.stderr)
+        return EXIT_INTRACTABLE
 
 
 if __name__ == "__main__":

@@ -321,22 +321,6 @@ def characteristic_function_joint(
     return val
 
 
-def laguerre(n: int, x: float):
-    """Laguerre polynomial L_n(x) by the three-term recurrence.
-
-    Accepts scalars or ndarrays in x.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    prev = np.ones_like(np.asarray(x, dtype=float)) if isinstance(x, np.ndarray) else 1.0
-    if n == 0:
-        return prev
-    cur = 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
-
-
 def tensor(ops: Sequence[ModeOperator | MultiModeOperator]) -> MultiModeOperator:
     """Kronecker product of operators, modes concatenated left to right."""
     if not ops:

@@ -27,6 +27,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from scipy.special import eval_laguerre
 
 from .channel import ChannelParams
 from .fock import (
@@ -35,7 +36,6 @@ from .fock import (
     TruncationError,
     basis_index,
     beam_splitter_unitary,
-    laguerre,
     number_projector,
     tensor,
 )
@@ -301,5 +301,5 @@ def chi_measurement(pattern: DetectionPattern, xis: Sequence[complex]) -> comple
             raise ValueError(
                 f"closed form covers one-photon-per-bin patterns; bin {i + 1} has {(a, b)}"
             )
-        prod *= laguerre(1, arg)
+        prod *= eval_laguerre(1, arg)
     return complex(math.exp(-envelope / 2.0) * prod)

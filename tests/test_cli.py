@@ -120,6 +120,30 @@ def test_fidelity_oracle_bin_guard(capsys):
     assert "analytic" in err  # points at the tractable alternative
 
 
+def test_fidelity_truncation_refusal_exits_intractable(capsys):
+    # nbar = 0.2 puts more thermal tail above the environment cutoff than the
+    # oracle will certify
+    code, out, err = run_cli(
+        capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "0.2", "--k", "2",
+        "--method", "both",
+    )
+    assert code == EXIT_INTRACTABLE
+    assert out == ""
+    assert "tail mass" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_fidelity_impossible_herald_exits_intractable(capsys):
+    # eta = 0 at pure loss: no photon reaches the detectors
+    code, out, err = run_cli(
+        capsys, "fidelity", "swap", "--eta", "0", "--nbar", "0", "--k", "2",
+        "--method", "oracle",
+    )
+    assert code == EXIT_INTRACTABLE
+    assert "probability" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_fidelity_n2_needs_two_bins(capsys):
     code, out, err = run_cli(
         capsys, "fidelity", "swap", "--eta", "0.8", "--nbar", "0.05",
@@ -223,18 +247,29 @@ def test_sweep_preset_writes_csv_and_meta(tmp_path, capsys):
     assert "closed_form_vs_oracle" in meta["tolerances"]
 
 
-def test_sweep_preset_deterministic_bytes(tmp_path, capsys, monkeypatch):
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    monkeypatch.setenv("TBSWAP_THREADS", "1")
-    assert run_cli(capsys, "sweep", "--preset", "fig4b", "--out", str(out_a))[0] == EXIT_OK
-    monkeypatch.setenv("TBSWAP_THREADS", "7")
-    assert run_cli(capsys, "sweep", "--preset", "fig4b", "--out", str(out_b))[0] == EXIT_OK
-    assert out_a.read_bytes() == out_b.read_bytes()
-    assert (
-        out_a.with_suffix(".meta.json").read_bytes()
-        == out_b.with_suffix(".meta.json").read_bytes()
-    )
+def test_sweep_preset_deterministic_bytes(tmp_path, capsys):
+    """Two runs of the same sweep write the same CSV and sidecar bytes, for an
+    analytic preset and for a method-both config, whose oracle points are the
+    ones the thread pool really overlaps."""
+    config = {
+        "quantity": "swap_fidelity",
+        "axis1": {"name": "k", "min": 1, "max": 3, "steps": 3},
+        "axis2": {"name": "eta", "values": [0.6, 0.8]},
+        "fixed": {"nbar": 0.05},
+        "method": "both",
+    }
+    cfg_path = tmp_path / "both.json"
+    cfg_path.write_text(json.dumps(config))
+    for source in (["--preset", "fig4b"], ["--config", str(cfg_path)]):
+        out_a = tmp_path / "a.csv"
+        out_b = tmp_path / "b.csv"
+        assert run_cli(capsys, "sweep", *source, "--out", str(out_a))[0] == EXIT_OK
+        assert run_cli(capsys, "sweep", *source, "--out", str(out_b))[0] == EXIT_OK
+        assert out_a.read_bytes() == out_b.read_bytes()
+        assert (
+            out_a.with_suffix(".meta.json").read_bytes()
+            == out_b.with_suffix(".meta.json").read_bytes()
+        )
 
 
 def test_sweep_custom_config_both_methods(tmp_path, capsys):
@@ -257,6 +292,38 @@ def test_sweep_custom_config_both_methods(tmp_path, capsys):
     analytic_vals = [float(line.split(",")[3]) for line in lines[1:5]]
     oracle_vals = [float(line.split(",")[3]) for line in lines[5:9]]
     for a, o in zip(analytic_vals, oracle_vals):
+        assert o == pytest.approx(a, abs=1e-5)
+
+
+def test_sweep_config_optimal_k_pair_both_methods(tmp_path, capsys):
+    """optimal_k and swap_infidelity_at_optimal_k take k_max, refuse k, and
+    their closed-form and oracle scans agree."""
+    rows = {}
+    for quantity in ("optimal_k", "swap_infidelity_at_optimal_k"):
+        out = tmp_path / f"{quantity}.csv"
+        config = {
+            "quantity": quantity,
+            "axis1": {"name": "eta", "values": [0.6, 0.9]},
+            "fixed": {"nbar": 0.05, "k_max": 4},
+            "method": "both",
+            "out": str(out),
+        }
+        cfg_path = tmp_path / f"{quantity}.json"
+        cfg_path.write_text(json.dumps(config))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == EXIT_OK, err
+        rows[quantity] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+        config["fixed"]["k"] = 2
+        cfg_path.write_text(json.dumps(config))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == EXIT_USAGE
+        assert "k must not be set" in err
+
+    k_star = [float(row[3]) for row in rows["optimal_k"]]
+    assert k_star[:2] == k_star[2:]  # analytic rows, then oracle rows
+    best = [float(row[3]) for row in rows["swap_infidelity_at_optimal_k"]]
+    for a, o in zip(best[:2], best[2:]):
         assert o == pytest.approx(a, abs=1e-5)
 
 
@@ -353,15 +420,6 @@ def test_sweep_missing_config_file(capsys):
     code, stdout, err = run_cli(capsys, "sweep", "--config", "/nonexistent/cfg.json")
     assert code == EXIT_USAGE
     assert "not found" in err
-
-
-def test_sweep_bad_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TBSWAP_THREADS", "zero")
-    code, stdout, err = run_cli(
-        capsys, "sweep", "--preset", "fig4b", "--out", str(tmp_path / "x.csv")
-    )
-    assert code == EXIT_USAGE
-    assert "TBSWAP_THREADS" in err
 
 
 def test_parse_sweep_config_unit():

@@ -22,7 +22,6 @@ from tbswap.fock import (
     displacement,
     fock_state,
     fock_vector,
-    laguerre,
     number_projector,
     partial_trace,
     tensor,
@@ -221,25 +220,6 @@ def test_characteristic_function_joint_factors():
     joint = characteristic_function_joint(op, [xi_a, xi_b])
     sep = characteristic_function(rho_a, xi_a) * characteristic_function(rho_b, xi_b)
     assert joint == pytest.approx(sep, abs=1e-10)
-
-
-def test_laguerre_small_orders():
-    assert laguerre(0, 3.7) == 1.0
-    assert laguerre(1, 2.5) == pytest.approx(-1.5)
-    assert laguerre(2, 1.0) == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        laguerre(-1, 0.0)
-
-
-@given(st.integers(min_value=0, max_value=12),
-       st.floats(min_value=0.0, max_value=25.0))
-def test_laguerre_matches_scipy(n, x):
-    assert laguerre(n, x) == pytest.approx(float(eval_laguerre(n, x)), rel=1e-9, abs=1e-9)
-
-
-def test_laguerre_vectorized():
-    x = np.linspace(0.0, 4.0, 9)
-    np.testing.assert_allclose(laguerre(3, x), eval_laguerre(3, x), atol=1e-12)
 
 
 def test_tensor_and_partial_trace_roundtrip():
