@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams
 from .states import state_fidelity_analytic as _state_fidelity_analytic
+from .swap import ImpossibleEventError
 
 # Re-export under the sweep-facing name: same function, same (spec, p) signature.
 state_fidelity_k = _state_fidelity_analytic
@@ -60,6 +61,21 @@ def _bases(p: ChannelParams) -> tuple[float, float, float, float]:
     return a0, a1, hd, b
 
 
+def _heralded(k0: float, p: ChannelParams, k: int) -> float:
+    """Pass a herald weight through, or raise when it is 0 in double precision.
+
+    K0 = 0 exactly at eta = 0 without thermal noise (no photon reaches the
+    detectors), and K0 underflows to 0 at very large k; no heralded state
+    exists to score either way.
+    """
+    if not k0 > 0.0:
+        raise ImpossibleEventError(
+            f"the canonical {k}-bin herald has probability K0 = {k0!r} "
+            f"at eta = {p.eta!r}, N = {p.N!r}"
+        )
+    return k0
+
+
 def _k0(p: ChannelParams, k: int) -> float:
     """Success weight K0 of the canonical k-bin herald, odd/even branches."""
     t = p.t
@@ -88,7 +104,7 @@ def swap_fidelity_k(p: ChannelParams, k: int) -> SwapFidelityResult:
     if k < 1:
         raise ValueError(f"need at least one bin, got k = {k}")
     _, _, hd, b = _bases(p)
-    k0 = _k0(p, k)
+    k0 = _heralded(_k0(p, k), p, k)
     k0f = 0.25 * hd**k + 0.25 * b**k
     fid = k0f / k0
     return SwapFidelityResult(k=k, n=1, K0=k0, fidelity=fid, infidelity=1.0 - fid)
@@ -107,7 +123,7 @@ def swap_fidelity_n1(p: ChannelParams) -> SwapFidelityResult:
         2.0 * t**8
     ) + 0.5 * ((3.0 * eta + 2.0 * t * (t - 1.0 - eta)) / (2.0 * t**4)) ** 2
     tr_f = ((2.0 * t * (t - 1.0 - eta) + 3.0 * eta) ** 2 + eta * eta) / (16.0 * t**8)
-    fid = tr_f / tr
+    fid = tr_f / _heralded(tr, p, 2)
     return SwapFidelityResult(k=2, n=1, K0=tr, fidelity=fid, infidelity=1.0 - fid)
 
 
@@ -134,7 +150,7 @@ def swap_fidelity_n2(p: ChannelParams) -> SwapFidelityResult:
         - 8.0 * (t - 2.0) * (t - 1.0) * t * (13.0 + 4.0 * (t - 4.0) * t) * eta**3
         + (85.0 + 4.0 * (t - 4.0) * t * (13.0 + 2.0 * (t - 4.0) * t)) * eta**4
     ) / (32.0 * t**12)
-    fid = tr_f / tr
+    fid = tr_f / _heralded(tr, p, 2)
     return SwapFidelityResult(k=2, n=2, K0=tr, fidelity=fid, infidelity=1.0 - fid)
 
 
@@ -155,7 +171,7 @@ def rho_components(p: ChannelParams, k: int) -> tuple[float, float]:
     if k < 1:
         raise ValueError(f"need at least one bin, got k = {k}")
     a0, a1, hd, b = _bases(p)
-    k0 = _k0(p, k)
+    k0 = _heralded(_k0(p, k), p, k)
     rho11 = 0.25 * a1 ** ((k + 1) // 2) * a0 ** (k // 2) / k0
     ratio = 0.5 + 0.5 * (b / hd) ** k
     return rho11, ratio

@@ -19,14 +19,14 @@ takes, which config validation reads.
 
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
 parameters (the physicality margin is reported, never clamped), 3 request
-intractable for the brute-force path (k > 6 bins, a Fock truncation it
-cannot certify, or a herald of zero probability).
+intractable: k > 6 bins or a Fock truncation the brute-force path cannot
+certify, or a herald of zero probability on either path. Channel options
+on the command line are held to the same domains as sweep configs.
 
 Sweep configs are a single JSON object; unknown keys are errors and every
-schema violation is listed before exiting. The grid is evaluated by a
-parallel map over pure functions on a fixed pool of min(8, CPU count)
-threads and assembled in row-major axis order, so output bytes are stable
-for a fixed config and package version.
+schema violation is listed before exiting. Grid points are evaluated in
+row-major axis order on the calling thread, so output bytes are stable for
+a fixed config and package version.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ import argparse
 import csv
 import hashlib
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -155,7 +154,7 @@ def _linspace(lo: float, hi: float, steps: int) -> tuple[float, ...]:
 
 # parameter -> (domain test, domain as text)
 _DOMAIN: dict[str, tuple[Callable[[float], bool], str]] = {
-    "eta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "eta": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "nbar": (lambda v: v >= 0.0, ">= 0"),
     "N": (lambda v: v >= 0.0, ">= 0"),
     "C": (lambda v: v > 0.0, "> 0"),
@@ -170,6 +169,9 @@ _DOMAIN: dict[str, tuple[Callable[[float], bool], str]] = {
 def _check_value(name: str, value: Any, where: str, violations: list[str]) -> Any:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         violations.append(f"{where}: {name} must be a number, got {value!r}")
+        return None
+    if not math.isfinite(value):
+        violations.append(f"{where}: {name} must be finite, got {value!r}")
         return None
     if name in INTEGER_NAMES:
         if float(value) != int(value):
@@ -494,9 +496,6 @@ def _methods(method: str) -> tuple[str, ...]:
 def run_sections(sections: Sequence[SweepSection]) -> list[tuple[str, str, str, str, str]]:
     """Evaluate every section and return CSV rows in deterministic order."""
     rows: list[tuple[str, str, str, str, str]] = []
-    # Oracle points spend most of their time in numpy, which releases the
-    # GIL, so two threads run a method-both sweep about 1.3x faster than one.
-    threads = min(8, os.cpu_count() or 1)
     for section in sections:
         points: list[tuple[str, str, dict[str, float]]] = []
         if section.axis2 is None:
@@ -513,11 +512,9 @@ def run_sections(sections: Sequence[SweepSection]) -> list[tuple[str, str, str, 
                     points.append((_fmt(v1), _fmt(v2), params))
         for method in _methods(section.method):
             evaluate = _EVALUATORS[method]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                values = list(pool.map(lambda pt: evaluate(section.quantity, pt[2]), points))
             rows.extend(
-                (a1, a2, section.quantity, _fmt(value), method)
-                for (a1, a2, _), value in zip(points, values)
+                (a1, a2, section.quantity, _fmt(evaluate(section.quantity, params)), method)
+                for a1, a2, params in points
             )
     return rows
 
@@ -627,8 +624,16 @@ def cmd_transducer(args: argparse.Namespace) -> int:
 
 
 def _given(args: argparse.Namespace) -> dict[str, Any]:
-    """The options given on the command line, as point parameters."""
-    return {name: value for name, value in vars(args).items() if value is not None}
+    """The options given on the command line, as point parameters, with the
+    channel options held to the sweep config's domains."""
+    params = {name: value for name, value in vars(args).items() if value is not None}
+    violations: list[str] = []
+    for name in ("eta", "nbar", "N"):
+        if name in params:
+            _check_value(name, params[name], "option", violations)
+    if violations:
+        raise CliError("; ".join(violations))
+    return params
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
@@ -847,8 +852,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, ImpossibleEventError) as exc:
+    except TruncationError as exc:
         print(f"intractable for the brute-force path: {exc}", file=sys.stderr)
+        return EXIT_INTRACTABLE
+    except ImpossibleEventError as exc:
+        print(f"impossible herald: {exc}", file=sys.stderr)
         return EXIT_INTRACTABLE
 
 

@@ -117,12 +117,6 @@ class MultiModeOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def single_mode(self) -> ModeOperator:
-        """View a one-mode operator as a ModeOperator."""
-        if len(self.mode_dims) != 1:
-            raise ValueError(f"operator has {len(self.mode_dims)} modes, not 1")
-        return ModeOperator(self.mode_dims[0], self.entries)
-
 
 def fock_vector(n: int, d: int) -> np.ndarray:
     """The number state |n> as a length-d unit vector."""

@@ -227,7 +227,7 @@ def heralded_state(
             f"pattern counts reach {highest} photons; raise d_sys above {d} to resolve them"
         )
     out_a = channel_output(spec, p_A, cfg)
-    out_b = channel_output(spec, p_B, cfg)
+    out_b = out_a if p_B == p_A else channel_output(spec, p_B, cfg)
 
     prod = np.ones((2, 2, 2, 2), dtype=complex)
     for i in range(spec.k):

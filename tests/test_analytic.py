@@ -18,7 +18,7 @@ from tbswap.analytic import (
 from tbswap.channel import ChannelParams
 from tbswap.fock import TruncationConfig
 from tbswap.states import QubitTimeBinSpec, state_fidelity_analytic
-from tbswap.swap import DetectionPattern, heralded_state
+from tbswap.swap import DetectionPattern, ImpossibleEventError, heralded_state
 
 ORACLE_TOL = 1e-5
 N1_CONSISTENCY_TOL = 1e-12
@@ -159,6 +159,21 @@ def test_swap_fidelity_wellformed(eta, nbar, k):
     assert r.K0 > 0.0
     assert 0.0 <= r.fidelity <= 1.0 + 1e-12
     assert r.infidelity == pytest.approx(1.0 - r.fidelity, abs=1e-12)
+
+
+def test_zero_weight_herald_is_a_typed_error():
+    """eta = 0 at pure loss delivers no photon, so K0 = 0 exactly; every
+    closed form that divides by K0 raises instead."""
+    dark = ChannelParams.from_eta_nbar(0.0, 0.0)
+    for call in (
+        lambda: swap_fidelity_k(dark, 2),
+        lambda: swap_fidelity_n1(dark),
+        lambda: swap_fidelity_n2(dark),
+        lambda: rho_components(dark, 3),
+        lambda: optimal_k(dark, 4),
+    ):
+        with pytest.raises(ImpossibleEventError, match="probability"):
+            call()
 
 
 def test_rho_components_frozen():

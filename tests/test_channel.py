@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
 from tbswap.channel import (
     ChannelParams,
     TransducerParams,
     UnphysicalChannelError,
+    _mixing_unitary,
     apply_channel_closed_form,
     apply_channel_oracle,
     bose_einstein,
@@ -21,10 +23,14 @@ from tbswap.channel import (
 )
 from tbswap.fock import (
     ModeOperator,
+    MultiModeOperator,
     TruncationConfig,
     TruncationError,
     characteristic_function,
     fock_state,
+    partial_trace,
+    tensor,
+    thermal_state,
 )
 
 from conftest import ginibre_density
@@ -32,6 +38,7 @@ from conftest import ginibre_density
 CHI_AGREEMENT_TOL = 1e-5
 COMPOSITION_TOL = 1e-8
 ORACLE_IDENTITY_TOL = 1e-12
+DENSE_REFERENCE_TOL = 1e-12
 
 # Occupation of a 9 GHz mode at 180 mK; 5 GHz at 100 mK has the same h f / k T
 # and therefore the identical value.
@@ -315,3 +322,54 @@ def test_oracle_output_is_valid_density():
     assert np.linalg.eigvalsh(m).min() >= -1e-10
     # the corner keeps all output mass up to the geometric tail above d_sys
     assert out.trace().real == pytest.approx(1.0, abs=1e-6)
+
+
+def dense_dilation_reference(rho: ModeOperator, p: ChannelParams, cfg: TruncationConfig):
+    """The channel by its definition, in one dense box of d_sys + d_env - 1
+    levels per mode: embed the input and the thermal environment, conjugate
+    by the expm of the two-mode beam-splitter generator, trace out the
+    environment, and cut the output to d_sys levels."""
+    d_box = cfg.d_sys + cfg.d_env - 1
+    a = np.diag(np.sqrt(np.arange(1, d_box, dtype=float)), 1)
+    sys_ladder = np.kron(a, np.eye(d_box))
+    env_ladder = np.kron(np.eye(d_box), a)
+    theta = math.acos(min(1.0, math.sqrt(p.eta)))
+    u = expm(theta * (sys_ladder.T @ env_ladder - sys_ladder @ env_ladder.T))
+    sys_big = np.zeros((d_box, d_box), dtype=complex)
+    sys_big[: rho.dim, : rho.dim] = rho.entries
+    env_big = np.zeros((d_box, d_box), dtype=complex)
+    env_big[: cfg.d_env, : cfg.d_env] = thermal_state(p.nbar, cfg.d_env).entries
+    joint = tensor([ModeOperator(d_box, sys_big), ModeOperator(d_box, env_big)])
+    mixed = u @ joint.entries @ u.conj().T
+    reduced = partial_trace(MultiModeOperator((d_box, d_box), mixed), [1])
+    return reduced.entries[: cfg.d_sys, : cfg.d_sys]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("eta", [0.0, 1e-3, "random", 1.0 - 1e-12])
+@pytest.mark.parametrize("nbar", [0.0, "random"])
+def test_oracle_matches_dense_dilation(n, eta, nbar):
+    """The sector-block Kraus sum equals the dense dilation on arbitrary
+    (non-Hermitian) inputs of every size the system cutoff admits."""
+    rng = np.random.default_rng(61 + n)
+    eta = float(rng.uniform(0.05, 0.95)) if eta == "random" else eta
+    nbar = float(rng.uniform(0.0, 0.15)) if nbar == "random" else nbar
+    p = ChannelParams.from_eta_nbar(eta, nbar)
+    cfg = TruncationConfig.for_encoding(n)
+    for d_in in range(1, cfg.d_sys + 1):
+        x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
+        rho = ModeOperator(d_in, x)
+        np.testing.assert_allclose(
+            apply_channel_oracle(rho, p, cfg).entries,
+            dense_dilation_reference(rho, p, cfg),
+            rtol=0.0,
+            atol=DENSE_REFERENCE_TOL,
+        )
+
+
+def test_mixing_unitary_cache_is_bounded():
+    maxsize = _mixing_unitary.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for eta in np.linspace(0.01, 0.99, maxsize + 5):
+        _mixing_unitary(float(eta), 5)
+    assert _mixing_unitary.cache_info().currsize <= maxsize

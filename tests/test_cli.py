@@ -144,6 +144,40 @@ def test_fidelity_impossible_herald_exits_intractable(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fidelity", "swap", "--eta", "0.6", "--nbar", "nan", "--k", "2"),
+        ("fidelity", "swap", "--eta", "0.6", "--nbar", "inf", "--k", "2"),
+        ("fidelity", "swap", "--eta", "0.6", "--N", "inf", "--k", "2"),
+        ("optimal-k", "--eta", "0.6", "--nbar", "nan"),
+    ],
+)
+def test_non_finite_channel_option_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "must be finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fidelity", "swap", "--eta", "0", "--nbar", "0", "--k", "2"),
+        ("fidelity", "swap", "--eta", "0", "--nbar", "0", "--k", "2", "--n", "2"),
+        ("optimal-k", "--eta", "0", "--nbar", "0"),
+    ],
+)
+def test_zero_weight_herald_closed_form_exits_intractable(capsys, argv):
+    # eta = 0 at pure loss: the closed form meets K0 = 0, as the oracle does
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INTRACTABLE
+    assert out == ""
+    assert "probability" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_fidelity_n2_needs_two_bins(capsys):
     code, out, err = run_cli(
         capsys, "fidelity", "swap", "--eta", "0.8", "--nbar", "0.05",
@@ -249,8 +283,8 @@ def test_sweep_preset_writes_csv_and_meta(tmp_path, capsys):
 
 def test_sweep_preset_deterministic_bytes(tmp_path, capsys):
     """Two runs of the same sweep write the same CSV and sidecar bytes, for an
-    analytic preset and for a method-both config, whose oracle points are the
-    ones the thread pool really overlaps."""
+    analytic preset and for a method-both config. Points are evaluated in grid
+    order on the calling thread, oracle points included."""
     config = {
         "quantity": "swap_fidelity",
         "axis1": {"name": "k", "min": 1, "max": 3, "steps": 3},
@@ -440,6 +474,18 @@ def test_parse_sweep_config_unit():
 
     _, _, violations = parse_sweep_config([1, 2, 3])
     assert violations == ["config: top level must be a JSON object"]
+
+
+def test_parse_sweep_config_rejects_non_finite_values():
+    _, _, violations = parse_sweep_config(
+        {
+            "quantity": "swap_fidelity",
+            "axis1": {"name": "eta", "values": [0.5, float("nan")]},
+            "fixed": {"nbar": float("inf"), "k": float("inf")},
+        }
+    )
+    assert len(violations) == 3
+    assert all("must be finite" in violation for violation in violations)
 
 
 def test_preset_row_counts():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbswap.swap as swap_module
 from tbswap.channel import ChannelParams
 from tbswap.fock import (
     TruncationConfig,
@@ -361,6 +362,26 @@ def test_asymmetric_channels_supported():
     np.testing.assert_allclose(out.rho, out.rho.conj().T, atol=1e-12)
     sym = heralded_state(p_a, p_a, QubitTimeBinSpec(k=2), DetectionPattern.canonical(2), cfg)
     assert out.fidelity_phi_plus != pytest.approx(sym.fidelity_phi_plus, abs=1e-6)
+
+
+def test_heralded_state_maps_each_distinct_channel_once(monkeypatch):
+    """Equal channels on both sides share one channel_output; unequal take two."""
+    calls = []
+    real = swap_module.channel_output
+
+    def counting(spec, p, cfg):
+        calls.append(p)
+        return real(spec, p, cfg)
+
+    monkeypatch.setattr(swap_module, "channel_output", counting)
+    cfg = TruncationConfig.for_encoding(1)
+    spec, pattern = QubitTimeBinSpec(k=3), DetectionPattern.canonical(3)
+    p_a = ChannelParams.from_eta_nbar(0.8, 0.05)
+    heralded_state(p_a, ChannelParams.from_eta_nbar(0.8, 0.05), spec, pattern, cfg)
+    assert len(calls) == 1
+    calls.clear()
+    heralded_state(p_a, ChannelParams.from_eta_nbar(0.5, 0.05), spec, pattern, cfg)
+    assert len(calls) == 2
 
 
 def test_heralded_state_pattern_shape_checks():
