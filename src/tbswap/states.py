@@ -7,8 +7,10 @@ The protocol's states pair a transmon qubit with photonic time bins:
 
 Odd-numbered bins (1-based) carry the photon in the |g> branch. Everything
 downstream factorizes over bins, so states are stored as per-bin 2x2 blocks
-of single-mode operators (HybridDensity) rather than full 2 * d^k tensors,
-which keeps the cost linear in k.
+of single-mode operators (HybridDensity) rather than full 2 * d^k tensors.
+A state has only two distinct bins (odd and even), which are built once and
+shared, so contractions cost one evaluation per distinct bin plus an O(k)
+product.
 
 Fidelity of the channel output against the ideal state is computed twice,
 by independent routes: a closed-form expression in (k, eta, N), and a
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -118,53 +122,89 @@ class HybridDensity:
         Tr of a block product telescopes bin by bin:
         norm_a * norm_b * sum_{q,q'} prod_i Tr(A_i[q,q'] B_i[q',q]).
         Blocks of different dimensions are contracted on the common corner
-        (the smaller operator is implicitly zero-padded).
+        (the smaller operator is implicitly zero-padded). A pair of bins
+        that recurs (the same bin objects on both sides, as channel_output
+        and ideal_state share them) is traced once.
         """
         if other.k != self.k:
             raise ValueError(f"bin count mismatch: {self.k} vs {other.k}")
-        total = 0.0 + 0.0j
-        for q in (GROUND, EXCITED):
-            for qp in (GROUND, EXCITED):
-                prod = 1.0 + 0.0j
-                for i in range(self.k):
-                    x = self.blocks[i][q][qp].entries
-                    y = other.blocks[i][qp][q].entries
-                    m = min(x.shape[0], y.shape[0])
-                    prod *= np.trace(x[:m, :m] @ y[:m, :m])
-                total += prod
-        return float((self.norm * other.norm * total).real)
+        factors: dict[tuple[int, int], np.ndarray] = {}
+        prod = np.ones((2, 2), dtype=complex)
+        for bin_a, bin_b in zip(self.blocks, other.blocks):
+            # Both operands hold their bins for the whole call, so ids stay unique.
+            key = (id(bin_a), id(bin_b))
+            if key not in factors:
+                factor = np.empty((2, 2), dtype=complex)
+                for q in (GROUND, EXCITED):
+                    for qp in (GROUND, EXCITED):
+                        x, y = bin_a[q][qp].entries, bin_b[qp][q].entries
+                        m = min(x.shape[0], y.shape[0])
+                        factor[q, qp] = np.trace(x[:m, :m] @ y[:m, :m])
+                factors[key] = factor
+            prod *= factors[key]
+        return float((self.norm * other.norm * sum(prod.flat)).real)
 
 
-def _occupation(spec: QubitTimeBinSpec, i: int, q: int) -> int:
-    """Photon number of bin i (0-based) in qubit branch q of the ideal state."""
-    odd_bin = i % 2 == 0  # bin number i+1 is odd
-    occupied = odd_bin if q == GROUND else not odd_bin
-    return spec.n if occupied else 0
+def _bin_occupations(spec: QubitTimeBinSpec, i: int) -> tuple[int, int]:
+    """Photon numbers of bin i (0-based) in the |g> and |e> branches of the ideal state."""
+    return (spec.n, 0) if i % 2 == 0 else (0, spec.n)  # bin number i+1 is odd
 
 
+def _shared_bins(
+    spec: QubitTimeBinSpec, make_bin: Callable[[tuple[int, int]], QubitBlock]
+) -> tuple[QubitBlock, ...]:
+    """Blocks of every bin, built once per distinct occupation pair and shared."""
+    made: dict[tuple[int, int], QubitBlock] = {}
+    for i in range(min(spec.k, 2)):
+        occ = _bin_occupations(spec, i)
+        made[occ] = make_bin(occ)
+    return tuple(made[_bin_occupations(spec, i)] for i in range(spec.k))
+
+
+@lru_cache(maxsize=128)
 def ideal_state(spec: QubitTimeBinSpec, d: int | None = None) -> HybridDensity:
     """The pure encoded state |psi_k><psi_k| in hybrid per-bin form.
 
     d is the per-bin Fock dimension; default n + 1, the smallest that holds
-    the encoding.
+    the encoding. Cached (bounded); the returned state is immutable.
     """
     if d is None:
         d = spec.n + 1
     if d < spec.n + 1:
         raise ValueError(f"dimension {d} cannot hold {spec.n} photons")
-    bins = []
-    for i in range(spec.k):
-        vec = {q: fock_vector(_occupation(spec, i, q), d) for q in (GROUND, EXCITED)}
-        row_g = (
-            ModeOperator(d, np.outer(vec[GROUND], vec[GROUND].conj())),
-            ModeOperator(d, np.outer(vec[GROUND], vec[EXCITED].conj())),
+
+    def make_bin(occ: tuple[int, int]) -> QubitBlock:
+        vec = [fock_vector(n, d) for n in occ]
+        return tuple(
+            tuple(ModeOperator(d, np.outer(vec[q], vec[qp].conj())) for qp in (GROUND, EXCITED))
+            for q in (GROUND, EXCITED)
         )
-        row_e = (
-            ModeOperator(d, np.outer(vec[EXCITED], vec[GROUND].conj())),
-            ModeOperator(d, np.outer(vec[EXCITED], vec[EXCITED].conj())),
+
+    return HybridDensity(k=spec.k, blocks=_shared_bins(spec, make_bin))
+
+
+@lru_cache(maxsize=128)
+def _channel_images(
+    n: int, p: ChannelParams, cfg: TruncationConfig
+) -> tuple[tuple[ModeOperator, ModeOperator], tuple[ModeOperator, ModeOperator]]:
+    """Oracle images of |a><b| for a, b in (0, n), as images[a > 0][b > 0].
+
+    They do not depend on k, so a scan over k at one channel computes them
+    once. Bounded like channel._mixing_unitary; ModeOperator entries are
+    read-only, so callers can share the cached images.
+    """
+    d_in = n + 1
+    return tuple(
+        tuple(
+            apply_channel_oracle(
+                ModeOperator(d_in, np.outer(fock_vector(a, d_in), fock_vector(b, d_in).conj())),
+                p,
+                cfg,
+            )
+            for b in (0, n)
         )
-        bins.append((row_g, row_e))
-    return HybridDensity(k=spec.k, blocks=tuple(bins))
+        for a in (0, n)
+    )
 
 
 def channel_output(
@@ -174,26 +214,22 @@ def channel_output(
 
     Linearity of the channel lets each per-bin block be mapped
     independently; only four distinct single-mode images are ever needed
-    (|n><n|, |0><0|, |n><0|, |0><n|), whatever k is.
+    (|n><n|, |0><0|, |n><0|, |0><n|), whatever k is. They are cached per
+    (n, channel, truncation) in a bounded cache, so calls that differ only
+    in k reuse them, and the two distinct bins are shared by every bin.
     """
     if cfg.d_sys < spec.n + 2:
         raise ValueError(
             f"d_sys = {cfg.d_sys} leaves no headroom above the {spec.n}-photon encoding; "
             f"need at least {spec.n + 2}"
         )
-    d_in = spec.n + 1
-    images: dict[tuple[int, int], ModeOperator] = {}
-    for a in (0, spec.n):
-        for b in (0, spec.n):
-            src = ModeOperator(d_in, np.outer(fock_vector(a, d_in), fock_vector(b, d_in).conj()))
-            images[(a, b)] = apply_channel_oracle(src, p, cfg)
-    bins = []
-    for i in range(spec.k):
-        occ = {q: _occupation(spec, i, q) for q in (GROUND, EXCITED)}
-        row_g = (images[(occ[GROUND], occ[GROUND])], images[(occ[GROUND], occ[EXCITED])])
-        row_e = (images[(occ[EXCITED], occ[GROUND])], images[(occ[EXCITED], occ[EXCITED])])
-        bins.append((row_g, row_e))
-    return HybridDensity(k=spec.k, blocks=tuple(bins))
+    images = _channel_images(spec.n, p, cfg)
+
+    def make_bin(occ: tuple[int, int]) -> QubitBlock:
+        g, e = (n > 0 for n in occ)
+        return (images[g][g], images[g][e]), (images[e][g], images[e][e])
+
+    return HybridDensity(k=spec.k, blocks=_shared_bins(spec, make_bin))
 
 
 def state_fidelity_analytic(spec: QubitTimeBinSpec, p: ChannelParams) -> float:
@@ -226,7 +262,8 @@ def state_fidelity_oracle(
     """Transfer fidelity by brute force: contract oracle output against the ideal.
 
     Independent of the closed form above; the channel enters only through
-    apply_channel_oracle.
+    apply_channel_oracle. Both states share their two distinct bins, so the
+    contraction traces each once and multiplies k factors.
     """
     out = channel_output(spec, p, cfg)
     return out.contract(ideal_state(spec))

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbswap.channel import ChannelParams, TransducerParams, transducer_to_channel
-from tbswap.fock import TruncationConfig, fock_state
+import tbswap.cli as cli
+import tbswap.states as states_module
+from tbswap.channel import (
+    ChannelParams,
+    TransducerParams,
+    apply_channel_oracle,
+    transducer_to_channel,
+)
+from tbswap.fock import ModeOperator, TruncationConfig, fock_state
 from tbswap.states import (
     EXCITED,
     GROUND,
@@ -317,3 +324,111 @@ def test_contract_rejects_bin_mismatch():
     b = ideal_state(QubitTimeBinSpec(k=3))
     with pytest.raises(ValueError):
         a.contract(b)
+
+
+def contract_reference(a, b):
+    """Tr(a * b) with every bin traced, in the original loop order."""
+    total = 0.0 + 0.0j
+    for q in (GROUND, EXCITED):
+        for qp in (GROUND, EXCITED):
+            prod = 1.0 + 0.0j
+            for i in range(a.k):
+                x, y = a.block(i, q, qp).entries, b.block(i, qp, q).entries
+                m = min(x.shape[0], y.shape[0])
+                prod *= np.trace(x[:m, :m] @ y[:m, :m])
+            total += prod
+    return float((a.norm * b.norm * total).real)
+
+
+def test_contract_of_shared_bins_matches_per_bin_loop():
+    """Bins that recur as the same objects are traced once; distinct bins,
+    shared or not, give the per-bin loop's value."""
+    rng = np.random.default_rng(1313)
+
+    def random_bin(d):
+        return tuple(
+            tuple(ModeOperator(d, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                  for _ in range(2))
+            for _ in range(2)
+        )
+
+    odd, even, lone = random_bin(4), random_bin(4), random_bin(4)
+    a = HybridDensity(k=5, blocks=(odd, even, odd, lone, odd))
+    b = HybridDensity(k=5, blocks=tuple(random_bin(3) for _ in range(5)))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert x.contract(y) == pytest.approx(contract_reference(x, y), rel=1e-13)
+    cfg = TruncationConfig.for_encoding(1)
+    p = ChannelParams.from_eta_nbar(0.7, 0.1)
+    for k in range(1, 7):
+        spec = QubitTimeBinSpec(k=k)
+        out = channel_output(spec, p, cfg)
+        assert out.contract(ideal_state(spec)) == pytest.approx(
+            contract_reference(out, ideal_state(spec)), rel=1e-13
+        )
+
+
+def count_oracle_calls(monkeypatch):
+    """Empty the image cache and count oracle channel calls from here on."""
+    calls = []
+
+    def counting(rho, p, cfg):
+        calls.append((rho.dim, p))
+        return apply_channel_oracle(rho, p, cfg)
+
+    states_module._channel_images.cache_clear()
+    monkeypatch.setattr(states_module, "apply_channel_oracle", counting)
+    return calls
+
+
+def test_channel_images_computed_once_per_channel(monkeypatch):
+    """A k = 1..6 method-both sweep and the oracle k scan map each
+    (channel, n) through the oracle four times, not four times per k."""
+    calls = count_oracle_calls(monkeypatch)
+    doc = {
+        "quantity": "swap_fidelity",
+        "method": "both",
+        "axis1": {"name": "k", "min": 1, "max": 6, "steps": 6},
+        "fixed": {"eta": 0.65, "nbar": 0.07},
+    }
+    section, _, violations = cli.parse_sweep_config(doc)
+    assert not violations
+    assert len(cli.run_sections([section])) == 12
+    assert len(calls) == 4
+
+    calls = count_oracle_calls(monkeypatch)
+    p = ChannelParams.from_eta_nbar(0.55, 0.09)
+    cli._oracle_optimal_k(p, {"k_max": 6})
+    assert len(calls) == 4
+    assert {dim for dim, _ in calls} == {2}
+
+    calls = count_oracle_calls(monkeypatch)
+    cli.QUANTITIES["fidelity_ratio_n1_n2"].oracle(p, {})
+    assert sorted(dim for dim, _ in calls) == [2] * 4 + [3] * 4
+
+
+def test_channel_image_and_ideal_state_caches_are_bounded():
+    cfg = TruncationConfig.for_encoding(1)
+    maxsize = states_module._channel_images.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for eta in np.linspace(0.01, 0.99, maxsize + 5):
+        states_module._channel_images(1, ChannelParams.from_eta_nbar(float(eta), 0.05), cfg)
+    assert states_module._channel_images.cache_info().currsize <= maxsize
+    maxsize = ideal_state.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for k in range(1, maxsize + 6):
+        ideal_state(QubitTimeBinSpec(k=k))
+    assert ideal_state.cache_info().currsize <= maxsize
+
+
+def test_cached_images_are_read_only():
+    cfg = TruncationConfig.for_encoding(1)
+    p = ChannelParams.from_eta_nbar(0.7, 0.1)
+    images = states_module._channel_images(1, p, cfg)
+    assert states_module._channel_images(1, p, cfg) is images
+    with pytest.raises(ValueError):
+        images[0][0].entries[0, 0] = 1.0
+    out = channel_output(QubitTimeBinSpec(k=2), p, cfg)
+    with pytest.raises(ValueError):
+        out.block(1, EXCITED, GROUND).entries[1, 0] = 1.0
+    with pytest.raises(ValueError):
+        ideal_state(QubitTimeBinSpec(k=2)).block(0, GROUND, GROUND).entries[1, 1] = 0.0

@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 import tbswap.swap as swap_module
 from tbswap.channel import ChannelParams
 from tbswap.fock import (
+    ModeOperator,
     TruncationConfig,
     TruncationError,
     basis_index,
     beam_splitter_unitary,
     characteristic_function_joint,
 )
-from tbswap.states import EXCITED, GROUND, QubitTimeBinSpec
+from tbswap.states import EXCITED, GROUND, HybridDensity, QubitTimeBinSpec, channel_output
 from tbswap.swap import (
     PHI_MINUS,
     PHI_PLUS,
@@ -44,6 +45,7 @@ from tbswap.swap import (
 )
 
 BELL_TOL = 1e-9
+CONTRACTION_TOL = 1e-13
 EVENT_SYMMETRY_TOL = 1e-9
 CHI_MEASUREMENT_TOL = 1e-6
 
@@ -450,3 +452,95 @@ def test_measurement_operator_is_projector():
     np.testing.assert_allclose(M, M.conj().T, atol=1e-12)
     np.testing.assert_allclose(M @ M, M, atol=1e-12)
     assert np.trace(M).real == pytest.approx(1.0, abs=1e-12)
+
+
+def bin_trace_tensor_reference(blocks_a, blocks_b, i, counts, d):
+    """The per-bin trace tensor as 16 separate four-operand einsums (the
+    original loop), T[qa, qa', qb, qb'] = sum conj(W[m,p]) X[m,n] Y[p,q] W[n,q]."""
+    u = beam_splitter_unitary(d)
+    W = u.entries[basis_index(counts, (d, d)), :].conj().reshape(d, d)
+    T = np.empty((2, 2, 2, 2), dtype=complex)
+    for qa in (GROUND, EXCITED):
+        for qap in (GROUND, EXCITED):
+            X = blocks_a.block(i, qa, qap).entries
+            for qb in (GROUND, EXCITED):
+                for qbp in (GROUND, EXCITED):
+                    Y = blocks_b.block(i, qb, qbp).entries
+                    T[qa, qap, qb, qbp] = np.einsum("mp,mn,pq,nq->", W.conj(), X, Y, W)
+    return T
+
+
+def heralded_reference(p_a, p_b, spec, pattern, cfg):
+    """(rho, success) with every bin contracted by the reference, none shared."""
+    out_a, out_b = channel_output(spec, p_a, cfg), channel_output(spec, p_b, cfg)
+    prod = np.ones((2, 2, 2, 2), dtype=complex)
+    for i, counts in enumerate(pattern.counts):
+        prod *= bin_trace_tensor_reference(out_a, out_b, i, counts, cfg.d_sys)
+    unnorm = prod.transpose(0, 2, 1, 3).reshape(4, 4) * out_a.norm * out_b.norm
+    success = np.trace(unnorm).real
+    rho = unnorm / success
+    return (rho + rho.conj().T) / 2.0, success
+
+
+def random_bin_state(rng, d):
+    """One-bin HybridDensity of random non-Hermitian d x d blocks."""
+    def block():
+        return ModeOperator(d, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+    return HybridDensity(k=1, blocks=(((block(), block()), (block(), block())),))
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_bin_trace_tensor_matches_einsum_reference(d):
+    rng = np.random.default_rng(1300 + d)
+    for counts in itertools.product(range(d), repeat=2):
+        a, b = random_bin_state(rng, d), random_bin_state(rng, d)
+        np.testing.assert_allclose(
+            swap_module._bin_trace_tensor(a, b, 0, counts, d),
+            bin_trace_tensor_reference(a, b, 0, counts, d),
+            rtol=0.0,
+            atol=CONTRACTION_TOL,
+        )
+
+
+P_A = ChannelParams.from_eta_nbar(0.81, 0.05)
+P_B = ChannelParams.from_eta_nbar(0.5, 0.12)
+MIXED_PATTERNS = [
+    (QubitTimeBinSpec(k=k), DetectionPattern(k=k, counts=tuple(counts)))
+    for k in range(1, 5)
+    for counts in itertools.product(((1, 0), (0, 1)), repeat=k)
+]
+TWO_PHOTON_PATTERNS = [
+    (QubitTimeBinSpec(k=2, n=2), DetectionPattern(k=2, counts=counts)) for counts in TABLE_TWO
+]
+
+
+@pytest.mark.parametrize("p_a, p_b", [(P_A, P_A), (P_A, P_B), (P_B, P_A)])
+def test_heralded_state_matches_unshared_reference(p_a, p_b):
+    """Each distinct bin contracted once gives the state of contracting every
+    bin, for mixed single-photon patterns, the two-photon table, and unequal
+    channels, where the two sides' blocks differ."""
+    for spec, pattern in MIXED_PATTERNS + TWO_PHOTON_PATTERNS:
+        cfg = TruncationConfig.for_encoding(spec.n)
+        rho, success = heralded_reference(p_a, p_b, spec, pattern, cfg)
+        got = heralded_state(p_a, p_b, spec, pattern, cfg)
+        np.testing.assert_allclose(got.rho, rho, rtol=0.0, atol=CONTRACTION_TOL)
+        assert got.success_probability == pytest.approx(success, rel=0.0, abs=CONTRACTION_TOL)
+
+
+def test_heralded_state_contracts_each_distinct_bin_once(monkeypatch):
+    calls = []
+    real = swap_module._bin_trace_tensor
+
+    def counting(blocks_a, blocks_b, i, counts, d):
+        calls.append((i % 2, counts))
+        return real(blocks_a, blocks_b, i, counts, d)
+
+    monkeypatch.setattr(swap_module, "_bin_trace_tensor", counting)
+    cfg = TruncationConfig.for_encoding(1)
+    heralded_state(P_A, P_B, QubitTimeBinSpec(k=6), DetectionPattern.canonical(6), cfg)
+    assert sorted(calls) == [(0, (1, 0)), (1, (1, 0))]
+    calls.clear()
+    counts = ((1, 0), (0, 1), (0, 1), (0, 1), (1, 0), (1, 0))
+    heralded_state(P_A, P_A, QubitTimeBinSpec(k=6), DetectionPattern(k=6, counts=counts), cfg)
+    assert len(calls) == len(set(calls)) == len({(i % 2, c) for i, c in enumerate(counts)})
