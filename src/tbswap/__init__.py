@@ -12,13 +12,14 @@ from .analytic import (
     SwapFidelityResult,
     optimal_k,
     rho_components,
-    state_fidelity_k,
+    state_fidelity_analytic,
     swap_fidelity_k,
     swap_fidelity_n1,
     swap_fidelity_n2,
 )
 from .channel import (
     ChannelParams,
+    ImpossibleEventError,
     TransducerParams,
     UnphysicalChannelError,
     apply_channel_closed_form,
@@ -48,7 +49,6 @@ from .states import (
     QubitTimeBinSpec,
     channel_output,
     ideal_state,
-    state_fidelity_analytic,
     state_fidelity_oracle,
 )
 from .swap import (
@@ -59,7 +59,6 @@ from .swap import (
     DetectionPattern,
     HeraldClass,
     HeraldedState,
-    ImpossibleEventError,
     chi_measurement,
     classify_single_photon,
     classify_two_photon,
@@ -112,7 +111,6 @@ __all__ = [
     "partial_trace",
     "rho_components",
     "state_fidelity_analytic",
-    "state_fidelity_k",
     "state_fidelity_oracle",
     "swap_fidelity_k",
     "swap_fidelity_n1",

@@ -1,10 +1,10 @@
-"""Closed-form heralded-swap quantities.
+"""Closed-form state-transfer and heralded-swap quantities.
 
-Every function here evaluates an explicit formula in the channel parameters;
-none of them touches Fock space. They are the fast path for sweeps and the
-independent counterpart to the brute-force route in module swap: tests hold
-the two within 1e-5 everywhere both exist, and neither is derived from the
-other in code.
+Every quantity here is an explicit formula in the channel parameters; none
+of them touches Fock space, and the module imports only channel. They are
+the fast path for sweeps and the independent counterpart to the
+brute-force routes in modules states and swap: tests hold the two within
+1e-5 everywhere both exist, and neither is derived from the other in code.
 
 All expressions are written in terms of eta and t = (1 + eta)/2 + N. The
 recurring per-bin quantities, for the canonical herald (one photon at port A
@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelParams
-from .states import state_fidelity_analytic as _state_fidelity_analytic
-from .swap import ImpossibleEventError
+from .channel import ChannelParams, ImpossibleEventError
 
-# Re-export under the sweep-facing name: same function, same (spec, p) signature.
-state_fidelity_k = _state_fidelity_analytic
+# optimal_k picks the smallest k within this of the scan's minimum infidelity,
+# so k* does not follow rounding noise among tied k (every k >= 2 at pure loss).
+K_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,31 @@ def _bases(p: ChannelParams) -> tuple[float, float, float, float]:
     hd = (eta + 2.0 * (t - 1.0) * (t - eta)) / (2.0 * t**4)
     b = eta / (2.0 * t**4)
     return a0, a1, hd, b
+
+
+def state_fidelity_analytic(spec, p: ChannelParams) -> float:
+    """Closed-form transfer fidelity F(k, eta, N) for single-photon encodings.
+
+    spec is a states.QubitTimeBinSpec; only its k and n are read. With
+    t = (1 + eta)/2 + N, the per-bin channel matrix elements combine to
+
+        F = (1/2) [ (t^2 + 2 eta - t(1 + eta)) / t^4 ]^(k/2) + eta^(k/2) / (2 t^(2k))
+
+    for even k, and for odd k = 2l + 1 the first term is replaced by
+    [...]^l (2t^2 + 2 eta - t(1 + eta)) / (4 t^3). Both collapse to 1 on the
+    identity channel.
+    """
+    if spec.n != 1:
+        raise ValueError("closed form covers single-photon encodings only (n = 1)")
+    t = p.t
+    eta = p.eta
+    k = spec.k
+    base = (t * t + 2.0 * eta - t * (1.0 + eta)) / t**4
+    coh = math.sqrt(eta) ** k / (2.0 * t ** (2 * k))
+    if k % 2 == 0:
+        return 0.5 * base ** (k // 2) + coh
+    l = k // 2
+    return base**l * (2.0 * t * t + 2.0 * eta - t * (1.0 + eta)) / (4.0 * t**3) + coh
 
 
 def _heralded(k0: float, p: ChannelParams, k: int) -> float:
@@ -177,17 +201,16 @@ def rho_components(p: ChannelParams, k: int) -> tuple[float, float]:
     return rho11, ratio
 
 
-def optimal_k(p: ChannelParams, k_max: int = 32) -> tuple[int, float]:
-    """Exhaustive argmin of the swap infidelity over k in [1, k_max].
+def pick_k(infidelities: list[float]) -> tuple[int, float]:
+    """(k*, its infidelity) for a scan over k = 1, 2, ...: the smallest k
+    within K_TIE_TOL of the minimum (the identity channel returns k = 1)."""
+    best = min(infidelities)
+    k = next(k for k, inf in enumerate(infidelities, 1) if inf - best <= K_TIE_TOL)
+    return k, infidelities[k - 1]
 
-    Ties break toward smaller k (the identity channel returns k = 1).
-    """
+
+def optimal_k(p: ChannelParams, k_max: int = 32) -> tuple[int, float]:
+    """Exhaustive argmin of the swap infidelity over k in [1, k_max], ties by pick_k."""
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    best_k = 1
-    best = swap_fidelity_k(p, 1).infidelity
-    for k in range(2, k_max + 1):
-        inf = swap_fidelity_k(p, k).infidelity
-        if inf < best:
-            best_k, best = k, inf
-    return best_k, best
+    return pick_k([swap_fidelity_k(p, k).infidelity for k in range(1, k_max + 1)])

@@ -45,6 +45,10 @@ from .fock import partial_trace, tensor  # noqa: F401
 PHYSICALITY_TOL = 1e-12
 
 
+class ImpossibleEventError(RuntimeError):
+    """The requested herald has zero probability for these inputs."""
+
+
 class UnphysicalChannelError(ValueError):
     """Parameters below the complete-positivity line N >= (1 - eta)/2."""
 
@@ -68,8 +72,8 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"transmissivity must lie in [0, 1], got {self.eta}")
-        if self.N < 0.0:
-            raise ValueError(f"noise coefficient must be nonnegative, got {self.N}")
+        if not 0.0 <= self.N < math.inf:
+            raise ValueError(f"noise coefficient must be finite and nonnegative, got {self.N}")
         if self.eta == 1.0 and self.N > PHYSICALITY_TOL:
             # Unit transmissivity leaves no room for added thermal noise in
             # this family (it would need an infinite-occupation environment).
@@ -85,8 +89,8 @@ class ChannelParams:
     @classmethod
     def from_eta_nbar(cls, eta: float, nbar: float) -> "ChannelParams":
         """Construct from transmissivity and environment occupation (always physical)."""
-        if nbar < 0.0:
-            raise ValueError(f"environment occupation must be nonnegative, got {nbar}")
+        if not 0.0 <= nbar < math.inf:
+            raise ValueError(f"environment occupation must be finite and nonnegative, got {nbar}")
         return cls(eta=eta, N=(1.0 - eta) * (nbar + 0.5))
 
     @property

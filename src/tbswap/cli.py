@@ -42,20 +42,27 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import __version__
-from .analytic import optimal_k, swap_fidelity_k, swap_fidelity_n1, swap_fidelity_n2
+from .analytic import (
+    optimal_k,
+    pick_k,
+    state_fidelity_analytic,
+    swap_fidelity_k,
+    swap_fidelity_n1,
+    swap_fidelity_n2,
+)
 from .channel import (
     ChannelParams,
+    ImpossibleEventError,
     TransducerParams,
     UnphysicalChannelError,
     bose_einstein,
     transducer_to_channel,
 )
 from .fock import TruncationConfig, TruncationError
-from .states import QubitTimeBinSpec, state_fidelity_analytic, state_fidelity_oracle
+from .states import QubitTimeBinSpec, state_fidelity_oracle
 from .swap import (
     DetectionPattern,
     HeraldClass,
-    ImpossibleEventError,
     classify_single_photon,
     classify_two_photon,
     heralded_state,
@@ -422,13 +429,9 @@ def _swap_oracle(p: ChannelParams, q: dict[str, Any]) -> tuple[float, float]:
 
 
 def _oracle_optimal_k(p: ChannelParams, q: dict[str, Any]) -> tuple[int, float]:
-    """Brute-force counterpart of analytic.optimal_k: scans heralded states."""
-    best_k, best = 1, 1.0 - _swap_oracle(p, {"k": 1})[0]
-    for k in range(2, _k_max(q) + 1):
-        inf = 1.0 - _swap_oracle(p, {"k": k})[0]
-        if inf < best:
-            best_k, best = k, inf
-    return best_k, best
+    """Brute-force counterpart of analytic.optimal_k: scans heralded states,
+    then breaks ties by the same rule."""
+    return pick_k([1.0 - _swap_oracle(p, {"k": k})[0] for k in range(1, _k_max(q) + 1)])
 
 
 Evaluation = Callable[[ChannelParams, dict[str, Any]], tuple[float, float | None]]

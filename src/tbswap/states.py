@@ -1,42 +1,32 @@
-"""Qubit-time-bin entangled states and their channel images.
+"""Qubit-time-bin entangled states and their oracle channel images.
 
 The protocol's states pair a transmon qubit with photonic time bins:
 
     |psi> = (|g>|n 0>  + |e>|0 n>) / sqrt(2)          (k = 2 bins, n photons)
     |psi> = (|g>|1010...> + |e>|0101...>) / sqrt(2)   (k bins, single photons)
 
-Odd-numbered bins (1-based) carry the photon in the |g> branch. Everything
-downstream factorizes over bins, so states are stored as per-bin 2x2 blocks
-of single-mode operators (HybridDensity) rather than full 2 * d^k tensors.
-A state has only two distinct bins (odd and even), which are built once and
-shared, so contractions cost one evaluation per distinct bin plus an O(k)
-product.
+Bins 0, 2, 4, ... (0-based) carry the photons in the |g> branch, bins
+1, 3, 5, ... in the |e> branch. Everything downstream factorizes over bins,
+so a state is stored as one (2, 2, d, d) array per bin (HybridDensity)
+rather than as a full 2 * d^k tensor. An odd bin is the even bin with the
+two qubit labels swapped, so a state holds two objects whatever k is: the
+even-bin array and its view [::-1, ::-1].
 
-Fidelity of the channel output against the ideal state is computed twice,
-by independent routes: a closed-form expression in (k, eta, N), and a
-brute-force contraction of oracle channel images. Tests hold the two within
-1e-5 of each other; neither is derived from the other.
+The transfer fidelity here is the brute-force one: oracle channel images
+contracted against the ideal state. Its closed form lives in module
+analytic; tests hold the two within 1e-5 of each other, and neither is
+derived from the other.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .channel import ChannelParams, apply_channel_oracle
-from .fock import (
-    ModeOperator,
-    MultiModeOperator,
-    TruncationConfig,
-    fock_vector,
-    tensor,
-)
-
-QubitBlock = tuple[tuple[ModeOperator, ModeOperator], tuple[ModeOperator, ModeOperator]]
+from .fock import ModeOperator, MultiModeOperator, TruncationConfig, fock_vector
 
 GROUND, EXCITED = 0, 1
 
@@ -68,29 +58,27 @@ class HybridDensity:
 
         rho = norm * sum_{q,q'} |q><q'| (x) B_1[q,q'] (x) ... (x) B_k[q,q']
 
-    with q, q' in {GROUND, EXCITED} and blocks[i][q][q'] the single-mode
-    operator of bin i+1 (bins are 1-based in the physics, 0-based in the
-    tuple). norm is 1/2 for the states built here.
+    with q, q' in {GROUND, EXCITED}. blocks[i] is a complex array of shape
+    (2, 2, d, d) and blocks[i][q, q'] the d x d operator of bin i (0-based).
+    The states built here share one read-only array between all even bins
+    and one view of it between all odd bins; norm is 1/2 for them.
     """
 
     k: int
-    blocks: tuple[QubitBlock, ...]
+    blocks: tuple[np.ndarray, ...]
     norm: float = 0.5
 
     def __post_init__(self) -> None:
         if len(self.blocks) != self.k:
             raise ValueError(f"expected {self.k} bins of blocks, got {len(self.blocks)}")
-        dims = {b.dim for bin_blocks in self.blocks for row in bin_blocks for b in row}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent block dimensions {sorted(dims)}")
+        shapes = {b.shape for b in self.blocks}
+        d = self.blocks[0].shape[-1] if self.blocks else 0
+        if shapes != {(2, 2, d, d)}:
+            raise ValueError(f"bins must share one (2, 2, d, d) shape, got {sorted(shapes)}")
 
     @property
     def bin_dim(self) -> int:
-        return self.blocks[0][0][0].dim
-
-    def block(self, i: int, q: int, qp: int) -> ModeOperator:
-        """Block of bin i (0-based) between qubit states q and q'."""
-        return self.blocks[i][q][qp]
+        return self.blocks[0].shape[-1]
 
     def assemble_full(self) -> MultiModeOperator:
         """Explicit (2, d, ..., d) tensor; exponential in k, use for k <= 3 checks."""
@@ -101,19 +89,14 @@ class HybridDensity:
             for qp in (GROUND, EXCITED):
                 qubit = np.zeros((2, 2), dtype=complex)
                 qubit[q, qp] = 1.0
-                ops = [ModeOperator(2, qubit)] + [self.blocks[i][q][qp] for i in range(self.k)]
-                out += tensor(ops).entries
+                out += reduce(np.kron, [b[q, qp] for b in self.blocks], qubit)
         return MultiModeOperator((2,) + (d,) * self.k, self.norm * out)
 
     def qubit_reduced(self) -> np.ndarray:
         """2x2 reduced state of the qubit (photonic modes traced out)."""
-        out = np.zeros((2, 2), dtype=complex)
-        for q in (GROUND, EXCITED):
-            for qp in (GROUND, EXCITED):
-                prod = self.norm
-                for i in range(self.k):
-                    prod *= self.blocks[i][q][qp].trace()
-                out[q, qp] = prod
+        out = np.full((2, 2), self.norm, dtype=complex)
+        for b in self.blocks:
+            out *= np.trace(b, axis1=2, axis2=3)
         return out
 
     def contract(self, other: "HybridDensity") -> float:
@@ -122,43 +105,29 @@ class HybridDensity:
         Tr of a block product telescopes bin by bin:
         norm_a * norm_b * sum_{q,q'} prod_i Tr(A_i[q,q'] B_i[q',q]).
         Blocks of different dimensions are contracted on the common corner
-        (the smaller operator is implicitly zero-padded). A pair of bins
-        that recurs (the same bin objects on both sides, as channel_output
-        and ideal_state share them) is traced once.
+        (the smaller operator is implicitly zero-padded).
         """
         if other.k != self.k:
             raise ValueError(f"bin count mismatch: {self.k} vs {other.k}")
-        factors: dict[tuple[int, int], np.ndarray] = {}
-        prod = np.ones((2, 2), dtype=complex)
-        for bin_a, bin_b in zip(self.blocks, other.blocks):
-            # Both operands hold their bins for the whole call, so ids stay unique.
-            key = (id(bin_a), id(bin_b))
-            if key not in factors:
-                factor = np.empty((2, 2), dtype=complex)
-                for q in (GROUND, EXCITED):
-                    for qp in (GROUND, EXCITED):
-                        x, y = bin_a[q][qp].entries, bin_b[qp][q].entries
-                        m = min(x.shape[0], y.shape[0])
-                        factor[q, qp] = np.trace(x[:m, :m] @ y[:m, :m])
-                factors[key] = factor
-            prod *= factors[key]
-        return float((self.norm * other.norm * sum(prod.flat)).real)
+        m = min(self.bin_dim, other.bin_dim)
+        a = np.stack(self.blocks)[..., :m, :m]
+        b = np.stack(other.blocks)[..., :m, :m]
+        prod = np.einsum("iqpmn,ipqnm->iqp", a, b).prod(axis=0)
+        return float((self.norm * other.norm * prod.sum()).real)
 
 
-def _bin_occupations(spec: QubitTimeBinSpec, i: int) -> tuple[int, int]:
-    """Photon numbers of bin i (0-based) in the |g> and |e> branches of the ideal state."""
-    return (spec.n, 0) if i % 2 == 0 else (0, spec.n)  # bin number i+1 is odd
+def _even_bin_ops(n: int, d: int) -> np.ndarray:
+    """|v_q><v_q'| for the even bins, where v_GROUND = |n> and v_EXCITED = |0>."""
+    vecs = np.array([fock_vector(n, d), fock_vector(0, d)])
+    ops = np.einsum("qm,pn->qpmn", vecs, vecs.conj())
+    ops.flags.writeable = False
+    return ops
 
 
-def _shared_bins(
-    spec: QubitTimeBinSpec, make_bin: Callable[[tuple[int, int]], QubitBlock]
-) -> tuple[QubitBlock, ...]:
-    """Blocks of every bin, built once per distinct occupation pair and shared."""
-    made: dict[tuple[int, int], QubitBlock] = {}
-    for i in range(min(spec.k, 2)):
-        occ = _bin_occupations(spec, i)
-        made[occ] = make_bin(occ)
-    return tuple(made[_bin_occupations(spec, i)] for i in range(spec.k))
+def _alternating(k: int, even: np.ndarray) -> HybridDensity:
+    """k bins: `even` in the even ones, its qubit-swapped view in the odd ones."""
+    odd = even[::-1, ::-1]
+    return HybridDensity(k=k, blocks=tuple(odd if i % 2 else even for i in range(k)))
 
 
 @lru_cache(maxsize=128)
@@ -172,39 +141,26 @@ def ideal_state(spec: QubitTimeBinSpec, d: int | None = None) -> HybridDensity:
         d = spec.n + 1
     if d < spec.n + 1:
         raise ValueError(f"dimension {d} cannot hold {spec.n} photons")
-
-    def make_bin(occ: tuple[int, int]) -> QubitBlock:
-        vec = [fock_vector(n, d) for n in occ]
-        return tuple(
-            tuple(ModeOperator(d, np.outer(vec[q], vec[qp].conj())) for qp in (GROUND, EXCITED))
-            for q in (GROUND, EXCITED)
-        )
-
-    return HybridDensity(k=spec.k, blocks=_shared_bins(spec, make_bin))
+    return _alternating(spec.k, _even_bin_ops(spec.n, d))
 
 
 @lru_cache(maxsize=128)
-def _channel_images(
-    n: int, p: ChannelParams, cfg: TruncationConfig
-) -> tuple[tuple[ModeOperator, ModeOperator], tuple[ModeOperator, ModeOperator]]:
-    """Oracle images of |a><b| for a, b in (0, n), as images[a > 0][b > 0].
+def _channel_images(n: int, p: ChannelParams, cfg: TruncationConfig) -> np.ndarray:
+    """Oracle image of the even bin, a read-only (2, 2, d_sys, d_sys) array.
 
-    They do not depend on k, so a scan over k at one channel computes them
-    once. Bounded like channel._mixing_unitary; ModeOperator entries are
-    read-only, so callers can share the cached images.
+    Entry [q, q'] is the channel applied to |v_q><v_q'| (see _even_bin_ops):
+    four apply_channel_oracle calls. They do not depend on k, so a scan over
+    k at one channel computes them once. Bounded like channel._mixing_unitary.
     """
     d_in = n + 1
-    return tuple(
-        tuple(
-            apply_channel_oracle(
-                ModeOperator(d_in, np.outer(fock_vector(a, d_in), fock_vector(b, d_in).conj())),
-                p,
-                cfg,
-            )
-            for b in (0, n)
-        )
-        for a in (0, n)
+    images = np.array(
+        [
+            [apply_channel_oracle(ModeOperator(d_in, op), p, cfg).entries for op in row]
+            for row in _even_bin_ops(n, d_in)
+        ]
     )
+    images.flags.writeable = False
+    return images
 
 
 def channel_output(
@@ -216,44 +172,14 @@ def channel_output(
     independently; only four distinct single-mode images are ever needed
     (|n><n|, |0><0|, |n><0|, |0><n|), whatever k is. They are cached per
     (n, channel, truncation) in a bounded cache, so calls that differ only
-    in k reuse them, and the two distinct bins are shared by every bin.
+    in k reuse them, and every bin shares them.
     """
     if cfg.d_sys < spec.n + 2:
         raise ValueError(
             f"d_sys = {cfg.d_sys} leaves no headroom above the {spec.n}-photon encoding; "
             f"need at least {spec.n + 2}"
         )
-    images = _channel_images(spec.n, p, cfg)
-
-    def make_bin(occ: tuple[int, int]) -> QubitBlock:
-        g, e = (n > 0 for n in occ)
-        return (images[g][g], images[g][e]), (images[e][g], images[e][e])
-
-    return HybridDensity(k=spec.k, blocks=_shared_bins(spec, make_bin))
-
-
-def state_fidelity_analytic(spec: QubitTimeBinSpec, p: ChannelParams) -> float:
-    """Closed-form transfer fidelity F(k, eta, N) for single-photon encodings.
-
-    With t = (1 + eta)/2 + N, the per-bin channel matrix elements combine to
-
-        F = (1/2) [ (t^2 + 2 eta - t(1 + eta)) / t^4 ]^(k/2) + eta^(k/2) / (2 t^(2k))
-
-    for even k, and for odd k = 2l + 1 the first term is replaced by
-    [...]^l (2t^2 + 2 eta - t(1 + eta)) / (4 t^3). Both collapse to 1 on the
-    identity channel.
-    """
-    if spec.n != 1:
-        raise ValueError("closed form covers single-photon encodings only (n = 1)")
-    t = p.t
-    eta = p.eta
-    k = spec.k
-    base = (t * t + 2.0 * eta - t * (1.0 + eta)) / t**4
-    coh = math.sqrt(eta) ** k / (2.0 * t ** (2 * k))
-    if k % 2 == 0:
-        return 0.5 * base ** (k // 2) + coh
-    l = k // 2
-    return base**l * (2.0 * t * t + 2.0 * eta - t * (1.0 + eta)) / (4.0 * t**3) + coh
+    return _alternating(spec.k, _channel_images(spec.n, p, cfg))
 
 
 def state_fidelity_oracle(
@@ -261,9 +187,8 @@ def state_fidelity_oracle(
 ) -> float:
     """Transfer fidelity by brute force: contract oracle output against the ideal.
 
-    Independent of the closed form above; the channel enters only through
-    apply_channel_oracle. Both states share their two distinct bins, so the
-    contraction traces each once and multiplies k factors.
+    Independent of analytic.state_fidelity_analytic; the channel enters only
+    through apply_channel_oracle.
     """
     out = channel_output(spec, p, cfg)
     return out.contract(ideal_state(spec))

@@ -15,11 +15,12 @@ table lookup.
 heralded_state computes the conditional two-qubit state for any pattern by
 brute force. Both the channel outputs and the measurement factorize over
 bins: each bin contributes a 16-component trace tensor, and the
-unnormalized 4x4 qubit matrix is their element-wise product. A bin's tensor
-depends only on its photon occupations and its counts, so each distinct
-(occupations, counts) pair is contracted once (two for the canonical
-pattern), and k enters only through an O(k) product of 2x2x2x2 arrays. No
-2k-mode tensor is ever assembled.
+unnormalized 4x4 qubit matrix is their element-wise product. A state's bins
+are one (2, 2, d, d) array for the even bins and its qubit-swapped view
+for the odd ones, so a bin's tensor depends only on its parity and its
+counts. Each distinct (bin parity, counts) pair is contracted once (two for
+the canonical pattern), and k enters only through an O(k) product of
+2x2x2x2 arrays. No 2k-mode tensor is ever assembled.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import eval_laguerre
 
-from .channel import ChannelParams
+from .channel import ChannelParams, ImpossibleEventError
 from .fock import (
     MultiModeOperator,
     TruncationConfig,
@@ -42,14 +43,7 @@ from .fock import (
     number_projector,
     tensor,
 )
-from .states import (
-    EXCITED,
-    GROUND,
-    HybridDensity,
-    QubitTimeBinSpec,
-    _bin_occupations,
-    channel_output,
-)
+from .states import HybridDensity, QubitTimeBinSpec, channel_output
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -58,10 +52,6 @@ PHI_PLUS = np.array([0.0, SQRT_HALF, SQRT_HALF, 0.0])
 PHI_MINUS = np.array([0.0, SQRT_HALF, -SQRT_HALF, 0.0])
 PSI_PLUS = np.array([SQRT_HALF, 0.0, 0.0, SQRT_HALF])
 PSI_MINUS = np.array([SQRT_HALF, 0.0, 0.0, -SQRT_HALF])
-
-
-class ImpossibleEventError(RuntimeError):
-    """The requested detection pattern has zero probability for these inputs."""
 
 
 class HeraldClass(Enum):
@@ -194,6 +184,7 @@ def _bin_trace_tensor(
 ) -> np.ndarray:
     """Per-bin contribution T[qA, qA', qB, qB'] = Tr[(X (x) Y) M].
 
+    X = blocks_a.blocks[i] and Y = blocks_b.blocks[i], each (2, 2, d, d).
     M = U+ |a b><a b| U is the measurement element of this bin; the trace is
     evaluated through the projected vector w = U+|a b> instead of assembling
     M, so nothing bigger than d x d appears:
@@ -204,10 +195,9 @@ def _bin_trace_tensor(
     u = beam_splitter_unitary(d)
     w = u.entries[basis_index(counts, (d, d)), :].conj()
     W = w.reshape(d, d)
-    X = np.array([[b.entries for b in row] for row in blocks_a.blocks[i]])
-    Y = np.array([[b.entries for b in row] for row in blocks_b.blocks[i]])
-    A = W.conj().T @ X @ W
-    return (A.reshape(4, d * d) @ Y.reshape(4, d * d).T).reshape(2, 2, 2, 2)
+    A = W.conj().T @ blocks_a.blocks[i] @ W
+    Y = blocks_b.blocks[i].reshape(4, d * d)
+    return (A.reshape(4, d * d) @ Y.T).reshape(2, 2, 2, 2)
 
 
 def heralded_state(
@@ -225,8 +215,8 @@ def heralded_state(
     ones the classifier calls Invalid; a pattern with zero probability for
     these inputs raises ImpossibleEventError.
 
-    Cost: one trace tensor per distinct (bin occupations, counts) pair (two
-    for the canonical pattern, at most four for any one-photon-per-bin
+    Cost: one trace tensor per distinct (bin parity, counts) pair (two for
+    the canonical pattern, at most four for any one-photon-per-bin
     pattern), plus an O(k) element-wise product; the channel images come
     from channel_output's cache.
     """
@@ -241,23 +231,17 @@ def heralded_state(
     out_a = channel_output(spec, p_A, cfg)
     out_b = out_a if p_B == p_A else channel_output(spec, p_B, cfg)
 
-    # Both sides encode the same spec, so a bin's occupations select its
-    # blocks on side A and on side B alike; with its counts they fix the tensor.
-    tensors: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}
+    # On both sides every bin of one parity holds the same blocks, so a bin's
+    # parity and counts fix its tensor.
+    tensors: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
     prod = np.ones((2, 2, 2, 2), dtype=complex)
     for i, counts in enumerate(pattern.counts):
-        key = (_bin_occupations(spec, i), counts)
+        key = (i % 2, counts)
         if key not in tensors:
             tensors[key] = _bin_trace_tensor(out_a, out_b, i, counts, d)
         prod *= tensors[key]
-
-    unnorm = np.empty((4, 4), dtype=complex)
-    for qa in (GROUND, EXCITED):
-        for qb in (GROUND, EXCITED):
-            for qap in (GROUND, EXCITED):
-                for qbp in (GROUND, EXCITED):
-                    unnorm[2 * qa + qb, 2 * qap + qbp] = prod[qa, qap, qb, qbp]
-    unnorm *= out_a.norm * out_b.norm
+    # Rows and columns over (qA, qB): unnorm[2 qA + qB, 2 qA' + qB'].
+    unnorm = prod.transpose(0, 2, 1, 3).reshape(4, 4) * (out_a.norm * out_b.norm)
 
     success = float(np.real(np.trace(unnorm)))
     if success < 1e-15:

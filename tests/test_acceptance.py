@@ -13,6 +13,7 @@ import pytest
 from tbswap.analytic import (
     optimal_k,
     rho_components,
+    state_fidelity_analytic,
     swap_fidelity_k,
     swap_fidelity_n1,
     swap_fidelity_n2,
@@ -29,7 +30,6 @@ from tbswap.states import (
     EXCITED,
     GROUND,
     QubitTimeBinSpec,
-    state_fidelity_analytic,
     state_fidelity_oracle,
 )
 from tbswap.swap import (

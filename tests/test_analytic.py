@@ -1,23 +1,27 @@
 """Tests for the closed-form swap fidelities against frozen values and the
 brute-force heralded-state oracle."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbswap.analytic as analytic
 from tbswap.analytic import (
     SwapFidelityResult,
     optimal_k,
     rho_components,
-    state_fidelity_k,
+    state_fidelity_analytic,
     swap_fidelity_k,
     swap_fidelity_n1,
     swap_fidelity_n2,
 )
 from tbswap.channel import ChannelParams
 from tbswap.fock import TruncationConfig
-from tbswap.states import QubitTimeBinSpec, state_fidelity_analytic
+from tbswap.states import QubitTimeBinSpec
 from tbswap.swap import DetectionPattern, ImpossibleEventError, heralded_state
 
 ORACLE_TOL = 1e-5
@@ -266,8 +270,22 @@ def test_two_photon_matches_heralded_oracle():
 
 
 def test_state_fidelity_reexport():
-    assert state_fidelity_k is state_fidelity_analytic
-    assert state_fidelity_k(QubitTimeBinSpec(k=2), IDENT) == 1.0
+    assert not hasattr(analytic, "state_fidelity_k")
+    assert state_fidelity_analytic(QubitTimeBinSpec(k=2), IDENT) == 1.0
+
+
+def test_analytic_imports_no_oracle_module():
+    """The closed forms stay independent of the Fock-space path: analytic
+    imports nothing from fock, states or swap."""
+    tree = ast.parse(Path(analytic.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert not imported & {"fock", "states", "swap"}
 
 
 def test_result_dataclass_fields():

@@ -91,6 +91,18 @@ def test_channel_params_domain_errors():
         ChannelParams.from_eta_nbar(0.5, -0.2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_channel_params_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ChannelParams(eta=0.5, N=bad)
+    with pytest.raises(ValueError, match="finite"):
+        ChannelParams.from_eta_nbar(0.5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        ChannelParams.from_eta_nbar(1.0, bad)
+    with pytest.raises(ValueError):
+        ChannelParams(eta=bad, N=0.5)
+
+
 @given(st.floats(min_value=0.0, max_value=0.999),
        st.floats(min_value=0.0, max_value=3.0))
 def test_from_eta_nbar_always_physical(eta, nbar):

@@ -361,6 +361,28 @@ def test_sweep_config_optimal_k_pair_both_methods(tmp_path, capsys):
         assert o == pytest.approx(a, abs=1e-5)
 
 
+def test_sweep_optimal_k_pure_loss_ties_agree(tmp_path, capsys):
+    """At pure loss every k >= 2 has fidelity 1 up to rounding; both scans
+    take the smallest k within the tie tolerance, so their rows are equal."""
+    out = tmp_path / "ties.csv"
+    config = {
+        "quantity": "optimal_k",
+        "axis1": {"name": "eta", "values": [0.4, 0.5, 0.7, 0.8, 0.9]},
+        "fixed": {"nbar": 0.0, "k_max": 6},
+        "method": "both",
+        "out": str(out),
+    }
+    cfg_path = tmp_path / "ties.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == EXIT_OK, err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    analytic = [row[:4] for row in rows if row[4] == "analytic"]
+    oracle = [row[:4] for row in rows if row[4] == "oracle"]
+    assert analytic == oracle
+    assert {row[3] for row in analytic} == {"2"}
+
+
 def test_sweep_config_axis_values_form(tmp_path, capsys):
     out = tmp_path / "zeta.csv"
     config = {

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 import tbswap.cli as cli
 import tbswap.states as states_module
+from tbswap.analytic import state_fidelity_analytic
 from tbswap.channel import (
     ChannelParams,
     TransducerParams,
     apply_channel_oracle,
     transducer_to_channel,
 )
-from tbswap.fock import ModeOperator, TruncationConfig, fock_state
+from tbswap.fock import TruncationConfig, fock_state
 from tbswap.states import (
     EXCITED,
     GROUND,
@@ -24,7 +25,6 @@ from tbswap.states import (
     QubitTimeBinSpec,
     channel_output,
     ideal_state,
-    state_fidelity_analytic,
     state_fidelity_oracle,
 )
 
@@ -69,7 +69,7 @@ def test_ideal_state_alternating_occupation():
     one = fock_state(1, psi.bin_dim).entries
     zero = fock_state(0, psi.bin_dim).entries
     for i in range(4):
-        g_block = psi.block(i, GROUND, GROUND).entries
+        g_block = psi.blocks[i][GROUND, GROUND]
         want = one if i % 2 == 0 else zero
         np.testing.assert_allclose(g_block, want, atol=1e-15)
 
@@ -111,8 +111,8 @@ def test_channel_output_identity_reproduces_ideal():
         for q in (GROUND, EXCITED):
             for qp in (GROUND, EXCITED):
                 np.testing.assert_allclose(
-                    out.block(i, q, qp).entries,
-                    want.block(i, q, qp).entries,
+                    out.blocks[i][q, qp],
+                    want.blocks[i][q, qp],
                     atol=1e-12,
                 )
 
@@ -122,11 +122,11 @@ def test_channel_output_pure_loss_coherence_scaling():
     eta = 0.64
     cfg = TruncationConfig.for_encoding(1)
     out = channel_output(QubitTimeBinSpec(k=2), ChannelParams.from_eta_nbar(eta, 0.0), cfg)
-    coh = out.block(0, GROUND, EXCITED).entries
+    coh = out.blocks[0][GROUND, EXCITED]
     want = np.zeros((cfg.d_sys, cfg.d_sys), dtype=complex)
     want[1, 0] = math.sqrt(eta)
     np.testing.assert_allclose(coh, want, atol=1e-12)
-    pop = out.block(0, GROUND, GROUND).entries
+    pop = out.blocks[0][GROUND, GROUND]
     assert pop[1, 1].real == pytest.approx(eta, abs=1e-12)
     assert pop[0, 0].real == pytest.approx(1.0 - eta, abs=1e-12)
 
@@ -162,8 +162,8 @@ def test_channel_output_two_photon_blocks():
     out = channel_output(QubitTimeBinSpec(k=2, n=2), p, cfg)
     src = ModeOperator(3, np.outer(fock_vector(2, 3), fock_vector(2, 3).conj()))
     want = apply_channel_oracle(src, p, cfg)
-    np.testing.assert_allclose(out.block(0, GROUND, GROUND).entries, want.entries, atol=1e-12)
-    assert out.block(0, GROUND, GROUND).entries[2, 2].real == pytest.approx(
+    np.testing.assert_allclose(out.blocks[0][GROUND, GROUND], want.entries, atol=1e-12)
+    assert out.blocks[0][GROUND, GROUND][2, 2].real == pytest.approx(
         p.eta**2, abs=0.05
     )
 
@@ -333,7 +333,7 @@ def contract_reference(a, b):
         for qp in (GROUND, EXCITED):
             prod = 1.0 + 0.0j
             for i in range(a.k):
-                x, y = a.block(i, q, qp).entries, b.block(i, qp, q).entries
+                x, y = a.blocks[i][q, qp], b.blocks[i][qp, q]
                 m = min(x.shape[0], y.shape[0])
                 prod *= np.trace(x[:m, :m] @ y[:m, :m])
             total += prod
@@ -341,16 +341,12 @@ def contract_reference(a, b):
 
 
 def test_contract_of_shared_bins_matches_per_bin_loop():
-    """Bins that recur as the same objects are traced once; distinct bins,
-    shared or not, give the per-bin loop's value."""
+    """Bins that recur as the same array and distinct bins alike give the
+    per-bin loop's value."""
     rng = np.random.default_rng(1313)
 
     def random_bin(d):
-        return tuple(
-            tuple(ModeOperator(d, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-                  for _ in range(2))
-            for _ in range(2)
-        )
+        return rng.standard_normal((2, 2, d, d)) + 1j * rng.standard_normal((2, 2, d, d))
 
     odd, even, lone = random_bin(4), random_bin(4), random_bin(4)
     a = HybridDensity(k=5, blocks=(odd, even, odd, lone, odd))
@@ -420,15 +416,27 @@ def test_channel_image_and_ideal_state_caches_are_bounded():
     assert ideal_state.cache_info().currsize <= maxsize
 
 
+def test_states_hold_one_even_bin_and_its_swapped_view():
+    """Every even bin is the same array and every odd bin the same view of
+    it with the qubit labels swapped, for the ideal state and the channel output."""
+    cfg = TruncationConfig.for_encoding(1)
+    spec = QubitTimeBinSpec(k=5)
+    for state in (ideal_state(spec), channel_output(spec, ChannelParams.from_eta_nbar(0.7, 0.1), cfg)):
+        even, odd = state.blocks[0], state.blocks[1]
+        assert all(b is (odd if i % 2 else even) for i, b in enumerate(state.blocks))
+        assert odd.base is even
+        np.testing.assert_array_equal(odd, even[::-1, ::-1])
+
+
 def test_cached_images_are_read_only():
     cfg = TruncationConfig.for_encoding(1)
     p = ChannelParams.from_eta_nbar(0.7, 0.1)
     images = states_module._channel_images(1, p, cfg)
     assert states_module._channel_images(1, p, cfg) is images
     with pytest.raises(ValueError):
-        images[0][0].entries[0, 0] = 1.0
+        images[0, 0, 0, 0] = 1.0
     out = channel_output(QubitTimeBinSpec(k=2), p, cfg)
     with pytest.raises(ValueError):
-        out.block(1, EXCITED, GROUND).entries[1, 0] = 1.0
+        out.blocks[1][EXCITED, GROUND][1, 0] = 1.0
     with pytest.raises(ValueError):
-        ideal_state(QubitTimeBinSpec(k=2)).block(0, GROUND, GROUND).entries[1, 1] = 0.0
+        ideal_state(QubitTimeBinSpec(k=2)).blocks[0][GROUND, GROUND][1, 1] = 0.0

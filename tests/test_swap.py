@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import tbswap.swap as swap_module
 from tbswap.channel import ChannelParams
 from tbswap.fock import (
-    ModeOperator,
     TruncationConfig,
     TruncationError,
     basis_index,
@@ -462,10 +461,10 @@ def bin_trace_tensor_reference(blocks_a, blocks_b, i, counts, d):
     T = np.empty((2, 2, 2, 2), dtype=complex)
     for qa in (GROUND, EXCITED):
         for qap in (GROUND, EXCITED):
-            X = blocks_a.block(i, qa, qap).entries
+            X = blocks_a.blocks[i][qa, qap]
             for qb in (GROUND, EXCITED):
                 for qbp in (GROUND, EXCITED):
-                    Y = blocks_b.block(i, qb, qbp).entries
+                    Y = blocks_b.blocks[i][qb, qbp]
                     T[qa, qap, qb, qbp] = np.einsum("mp,mn,pq,nq->", W.conj(), X, Y, W)
     return T
 
@@ -484,10 +483,8 @@ def heralded_reference(p_a, p_b, spec, pattern, cfg):
 
 def random_bin_state(rng, d):
     """One-bin HybridDensity of random non-Hermitian d x d blocks."""
-    def block():
-        return ModeOperator(d, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-
-    return HybridDensity(k=1, blocks=(((block(), block()), (block(), block())),))
+    shape = (2, 2, d, d)
+    return HybridDensity(k=1, blocks=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),))
 
 
 @pytest.mark.parametrize("d", [4, 5])
