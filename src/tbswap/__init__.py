@@ -37,7 +37,6 @@ from .fock import (
     characteristic_function,
     characteristic_function_joint,
     creation,
-    displacement,
     fock_state,
     fock_vector,
     partial_trace,
@@ -100,7 +99,6 @@ __all__ = [
     "classify_single_photon",
     "classify_two_photon",
     "creation",
-    "displacement",
     "fock_state",
     "fock_vector",
     "heralded_state",

@@ -23,6 +23,7 @@ agreement) rather than re-simplified by hand.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .channel import ChannelParams, ImpossibleEventError
@@ -210,7 +211,22 @@ def pick_k(infidelities: list[float]) -> tuple[int, float]:
 
 
 def optimal_k(p: ChannelParams, k_max: int = 32) -> tuple[int, float]:
-    """Exhaustive argmin of the swap infidelity over k in [1, k_max], ties by pick_k."""
+    """Exhaustive argmin of the swap infidelity over k in [1, k_max], ties by pick_k.
+
+    K0 shrinks geometrically with k. The scan stops at the first k > 1 whose
+    K0 falls below the smallest normal float, where K0 and K0 F keep too few
+    digits to give F (every larger k falls below too). Only an impossible
+    k = 1 herald raises ImpossibleEventError.
+    """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    return pick_k([swap_fidelity_k(p, k).infidelity for k in range(1, k_max + 1)])
+    infidelities = [swap_fidelity_k(p, 1).infidelity]
+    for k in range(2, k_max + 1):
+        try:
+            result = swap_fidelity_k(p, k)
+        except ImpossibleEventError:
+            break
+        if result.K0 < sys.float_info.min:
+            break
+        infidelities.append(result.infidelity)
+    return pick_k(infidelities)

@@ -121,44 +121,19 @@ class ChannelParams:
         return abs(self.physicality_margin) <= PHYSICALITY_TOL
 
 
-def _check_rate_pair(
-    label: str, extraction: float, coupling: float | None, intrinsic: float | None
-) -> list[str]:
-    problems = []
-    if coupling is None and intrinsic is None:
-        return problems
-    if coupling is None or intrinsic is None:
-        problems.append(f"{label}: coupling and intrinsic rates must be given together")
-        return problems
-    if coupling < 0 or intrinsic < 0 or coupling + intrinsic <= 0:
-        problems.append(f"{label}: rates must be nonnegative with a positive sum")
-        return problems
-    implied = coupling / (coupling + intrinsic)
-    if abs(implied - extraction) > 1e-12:
-        problems.append(
-            f"{label}: rates imply extraction {implied!r}, inconsistent with {extraction!r}"
-        )
-    return problems
-
-
 @dataclass(frozen=True)
 class TransducerParams:
     """Operating point of one electro-optic transducer.
 
     zeta_m and zeta_o are the microwave and optical extraction efficiencies
     (coupling rate over total rate), C the cooperativity and nth the thermal
-    occupation of the microwave bath. The underlying rate pairs are optional;
-    when provided they must be consistent with the extraction efficiencies.
+    occupation of the microwave bath; C and nth must be finite.
     """
 
     zeta_m: float
     zeta_o: float
     C: float
     nth: float
-    gamma_mc: float | None = None
-    gamma_mi: float | None = None
-    gamma_oc: float | None = None
-    gamma_oi: float | None = None
 
     def __post_init__(self) -> None:
         problems = []
@@ -166,35 +141,12 @@ class TransducerParams:
             problems.append(f"zeta_m must lie in [0, 1], got {self.zeta_m}")
         if not 0.0 <= self.zeta_o <= 1.0:
             problems.append(f"zeta_o must lie in [0, 1], got {self.zeta_o}")
-        if self.C < 0.0:
-            problems.append(f"cooperativity must be nonnegative, got {self.C}")
-        if self.nth < 0.0:
-            problems.append(f"thermal occupation must be nonnegative, got {self.nth}")
-        problems += _check_rate_pair("microwave", self.zeta_m, self.gamma_mc, self.gamma_mi)
-        problems += _check_rate_pair("optical", self.zeta_o, self.gamma_oc, self.gamma_oi)
+        if not 0.0 <= self.C < math.inf:
+            problems.append(f"cooperativity must be finite and nonnegative, got {self.C}")
+        if not 0.0 <= self.nth < math.inf:
+            problems.append(f"thermal occupation must be finite and nonnegative, got {self.nth}")
         if problems:
             raise ValueError("; ".join(problems))
-
-    @classmethod
-    def from_rates(
-        cls,
-        gamma_mc: float,
-        gamma_mi: float,
-        gamma_oc: float,
-        gamma_oi: float,
-        C: float,
-        nth: float,
-    ) -> "TransducerParams":
-        return cls(
-            zeta_m=gamma_mc / (gamma_mc + gamma_mi),
-            zeta_o=gamma_oc / (gamma_oc + gamma_oi),
-            C=C,
-            nth=nth,
-            gamma_mc=gamma_mc,
-            gamma_mi=gamma_mi,
-            gamma_oc=gamma_oc,
-            gamma_oi=gamma_oi,
-        )
 
 
 def transducer_to_channel(p: TransducerParams) -> ChannelParams:
@@ -203,26 +155,38 @@ def transducer_to_channel(p: TransducerParams) -> ChannelParams:
     The conversion efficiency peaks at unit cooperativity, and the noise
     term decomposes as the pure-loss minimum plus a nonnegative thermal
     contribution proportional to (1 - zeta_m) nth, so the result is physical
-    for every valid operating point.
+    for every valid operating point. (1 + C)^2 is a product, not a power, so
+    a huge C gives its limit (eta 0, N 1/2) instead of an OverflowError.
     """
-    denom = (1.0 + p.C) ** 2
+    denom = (1.0 + p.C) * (1.0 + p.C)
     eta = p.zeta_m * p.zeta_o * 4.0 * p.C / denom
     N = 0.5 + 2.0 * p.C * p.zeta_o * (2.0 * (1.0 - p.zeta_m) * p.nth - p.zeta_m) / denom
     return ChannelParams(eta=eta, N=N)
 
 
 def bose_einstein(frequency_hz: float, temperature_k: float) -> float:
-    """Thermal occupation 1/(exp(h f / k T) - 1) of a mode at frequency f."""
-    if frequency_hz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    if temperature_k < 0.0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature_k}")
-    if temperature_k == 0.0:
+    """Thermal occupation 1/(exp(h f / k T) - 1) of a mode at frequency f.
+
+    Raises ValueError when the occupation is not a finite number, which
+    happens when h f / k T underflows (a vanishing frequency).
+    """
+    if not 0.0 < frequency_hz < math.inf:
+        raise ValueError(f"frequency must be finite and positive, got {frequency_hz}")
+    if not 0.0 <= temperature_k < math.inf:
+        raise ValueError(f"temperature must be finite and nonnegative, got {temperature_k}")
+    kt = BOLTZMANN * temperature_k
+    if kt == 0.0:  # T = 0, or so small that k T underflows: x is infinite
         return 0.0
-    x = PLANCK * frequency_hz / (BOLTZMANN * temperature_k)
+    x = PLANCK * frequency_hz / kt
     if x > 700.0:  # expm1 overflows; occupation is zero to double precision anyway
         return 0.0
-    return 1.0 / math.expm1(x)
+    nth = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if not math.isfinite(nth):
+        raise ValueError(
+            f"thermal occupation is not finite at frequency {frequency_hz} Hz, "
+            f"temperature {temperature_k} K"
+        )
+    return nth
 
 
 def apply_channel_closed_form(

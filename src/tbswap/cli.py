@@ -627,16 +627,9 @@ def cmd_transducer(args: argparse.Namespace) -> int:
 
 
 def _given(args: argparse.Namespace) -> dict[str, Any]:
-    """The options given on the command line, as point parameters, with the
-    channel options held to the sweep config's domains."""
-    params = {name: value for name, value in vars(args).items() if value is not None}
-    violations: list[str] = []
-    for name in ("eta", "nbar", "N"):
-        if name in params:
-            _check_value(name, params[name], "option", violations)
-    if violations:
-        raise CliError("; ".join(violations))
-    return params
+    """The options given on the command line, as point parameters; the
+    channel options are checked by ChannelParams, as sweep points are."""
+    return {name: value for name, value in vars(args).items() if value is not None}
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
@@ -697,8 +690,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.n == 1:
         label = classify_single_photon(pattern)
     else:
-        if args.k != 2:
-            raise CliError("two-photon classification is defined for k = 2")
         label = classify_two_photon(pattern)
     payload: dict[str, Any] = {"class": label.value, "k": args.k, "n": args.n,
                                "pattern": counts}

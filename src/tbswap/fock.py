@@ -12,9 +12,9 @@ Truncation caveats are handled explicitly rather than hidden:
   top level (the (d-1, d-1) entry of the commutator is d-1 instead of 1);
 * the beam-splitter unitary is exact on every complete total-photon sector
   (n_A + n_B <= d - 1) and garbage above;
-* characteristic functions computed with the exponential of the truncated
-  generator carry a certificate against the exact displacement matrix
-  elements and raise TruncationError when the two disagree.
+* characteristic functions take the d x d corner of the displacement
+  operator from its closed-form matrix elements, so truncating an operator
+  to d levels costs them nothing.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class TruncationConfig:
             raise ValueError("tail_tol must be positive")
 
     @classmethod
-    def for_encoding(cls, n: int, d_env: int = 8, tail_tol: float = 1e-7) -> "TruncationConfig":
+    def for_encoding(cls, n: int) -> "TruncationConfig":
         """Default cutoffs for an n-photon time-bin encoding (d_sys = n + 3)."""
-        return cls(d_sys=n + 3, d_env=d_env, tail_tol=tail_tol)
+        return cls(d_sys=n + 3)
 
 
 @dataclass(frozen=True)
@@ -208,44 +208,14 @@ def beam_splitter_unitary(d: int) -> MultiModeOperator:
     return MultiModeOperator((d, d), expm(-1j * gen))
 
 
-def displacement(xi: complex, d: int) -> ModeOperator:
-    """D(xi) = exp(xi a+ - conj(xi) a) via the truncated generator.
-
-    Exactly unitary by construction, but its entries drift from the true
-    displacement matrix elements near the cutoff. characteristic_function
-    works in an enlarged box and carries an error certificate instead of
-    using this operator directly.
-    """
-    a = annihilation(d).entries
-    return ModeOperator(d, expm(xi * a.conj().T - np.conj(xi) * a))
-
-
-def _pad_levels(absxi: float) -> int:
-    # Enough headroom that the expm of the truncated generator reproduces the
-    # exact displacement corner to ~1e-12: the generator couples level n to
-    # n +- 1 with strength ~ |xi| sqrt(n), and the wavefront launched from the
-    # corner dies out |xi|^2 + O(|xi|) levels up. Measured corner error with
-    # this rule: 3e-12 at |xi| = 2, d = 12, and it improves with |xi|.
-    return max(8, math.ceil(absxi * absxi + 6.0 * absxi + 4.0))
-
-
-def _displacement_corner(xi: complex, d: int, max_dim: int) -> np.ndarray:
-    """d x d corner of the expm-built displacement, computed in a padded box."""
-    d_work = min(max_dim, d + _pad_levels(abs(xi)))
-    d_work = max(d_work, d)
-    a = annihilation(d_work).entries
-    full = expm(xi * a.conj().T - np.conj(xi) * a)
-    return full[:d, :d]
-
-
 def _displacement_exact(xi: complex, d: int) -> np.ndarray:
     """The d x d corner of the exact displacement operator.
 
     Matrix elements in closed form,
         <m|D(xi)|n> = sqrt(n!/m!) xi^(m-n) e^(-|xi|^2/2) L_n^(m-n)(|xi|^2)
     for m >= n, and the conjugate-mirrored expression below the diagonal.
-    Unlike the expm of the truncated generator, these entries are exact for
-    every (m, n) inside the corner.
+    Each entry is the true element of the infinite-dimensional operator, so
+    cutting D(xi) to d levels loses nothing inside the corner.
     """
     x = abs(xi) ** 2
     env = math.exp(-x / 2.0)
@@ -262,57 +232,30 @@ def _displacement_exact(xi: complex, d: int) -> np.ndarray:
     return out
 
 
-def characteristic_function(
-    rho: ModeOperator, xi: complex, flag_tol: float = 1e-8, max_dim: int = 96
-) -> complex:
-    """chi(xi) = Tr[rho D(xi)], with a truncation certificate.
+def characteristic_function(rho: ModeOperator, xi: complex) -> complex:
+    """chi(xi) = Tr[rho D(xi)].
 
-    The displacement is the matrix exponential of the truncated generator,
-    evaluated in a padded working box (capped at max_dim levels) and cut back
-    to rho's corner; for a state supported inside the truncation that corner
-    trace is the true chi up to the box error. The box error is measured
-    exactly against the closed-form displacement matrix elements, and a
-    TruncationError is raised when it exceeds flag_tol rather than a silently
-    wrong value being returned. With the default cap the flag fires around
-    |xi| > 12; a tighter max_dim moves it down.
+    rho lives on d levels, so only the d x d corner of D(xi) enters the
+    trace, and _displacement_exact gives that corner in closed form: the
+    value carries no truncation error at any xi.
     """
-    d = rho.dim
-    val = complex(np.trace(rho.entries @ _displacement_corner(xi, d, max_dim)))
-    exact = complex(np.trace(rho.entries @ _displacement_exact(xi, d)))
-    err = abs(val - exact)
-    if err > flag_tol:
-        raise TruncationError(
-            f"characteristic function error {err:.3e} exceeds {flag_tol:.1e} "
-            f"at |xi| = {abs(xi):.3f}, d = {d}, max_dim = {max_dim}; "
-            "raise max_dim or shrink xi"
-        )
-    return val
+    return complex(np.trace(rho.entries @ _displacement_exact(xi, rho.dim)))
 
 
-def characteristic_function_joint(
-    op: MultiModeOperator, xis: Sequence[complex], flag_tol: float = 1e-8, max_dim: int = 96
-) -> complex:
+def characteristic_function_joint(op: MultiModeOperator, xis: Sequence[complex]) -> complex:
     """Multimode chi(xi_1, ..., xi_M) = Tr[op D(xi_1) x ... x D(xi_M)].
 
-    Same certificate idea as the single-mode version, applied mode by mode.
+    The Kronecker product of the exact corners, one per mode, as in the
+    single-mode version.
     """
     if len(xis) != len(op.mode_dims):
         raise ValueError(f"expected {len(op.mode_dims)} displacement arguments, got {len(xis)}")
     joint = np.eye(1, dtype=complex)
-    joint_exact = np.eye(1, dtype=complex)
     for xi, d in zip(xis, op.mode_dims):
-        joint = np.kron(joint, _displacement_corner(xi, d, max_dim))
-        joint_exact = np.kron(joint_exact, _displacement_exact(xi, d))
+        joint = np.kron(joint, _displacement_exact(xi, d))
     # trace of a product without forming the product; the operators here can
     # be thousands of rows across several modes
-    val = complex(np.einsum("ij,ji->", op.entries, joint))
-    exact = complex(np.einsum("ij,ji->", op.entries, joint_exact))
-    err = abs(val - exact)
-    if err > flag_tol:
-        raise TruncationError(
-            f"joint characteristic function error {err:.3e} exceeds {flag_tol:.1e}"
-        )
-    return val
+    return complex(np.einsum("ij,ji->", op.entries, joint))
 
 
 def tensor(ops: Sequence[ModeOperator | MultiModeOperator]) -> MultiModeOperator:

@@ -179,19 +179,6 @@ def test_transducer_rejects_bad_domain():
         TransducerParams(zeta_m=0.9, zeta_o=0.9, C=0.5, nth=-0.1)
 
 
-def test_transducer_from_rates_consistency():
-    p = TransducerParams.from_rates(
-        gamma_mc=3.0, gamma_mi=1.0, gamma_oc=9.0, gamma_oi=1.0, C=0.5, nth=0.1
-    )
-    assert p.zeta_m == pytest.approx(0.75)
-    assert p.zeta_o == pytest.approx(0.9)
-    with pytest.raises(ValueError, match="microwave"):
-        TransducerParams(zeta_m=0.5, zeta_o=0.9, C=0.5, nth=0.1,
-                         gamma_mc=3.0, gamma_mi=1.0)
-    with pytest.raises(ValueError, match="together"):
-        TransducerParams(zeta_m=0.75, zeta_o=0.9, C=0.5, nth=0.1, gamma_mc=3.0)
-
-
 def test_bose_einstein_reference_points():
     occ = bose_einstein(9e9, 0.18)
     assert occ == pytest.approx(NBAR_9GHZ_180MK, rel=1e-12)

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface, run in process through
 main() so exit codes and output formatting are both observable."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbswap.cli import (
     CSV_HEADER,
@@ -78,6 +83,80 @@ def test_transducer_rejects_bad_domain(capsys):
     )
     assert code == EXIT_USAGE
     assert "zeta_m" in err
+
+
+TRANSDUCER_HEAD = ("transducer", "--zeta-m", "0.9", "--zeta-o", "0.9")
+
+
+@pytest.mark.parametrize(
+    "options, name",
+    [
+        (("--C", "1", "--nth", "nan"), "thermal occupation"),
+        (("--C", "1", "--nth", "inf"), "thermal occupation"),
+        (("--C", "nan", "--nth", "0.1"), "cooperativity"),
+        (("--C", "inf", "--nth", "0.1"), "cooperativity"),
+        (("--C", "1", "--temp", "inf", "--freq", "5e9"), "temperature"),
+        (("--C", "1", "--temp", "0.1", "--freq", "inf"), "frequency"),
+        (("--C", "1", "--temp", "0.1", "--freq", "1e-320"), "thermal occupation"),
+    ],
+)
+def test_transducer_non_finite_input_is_usage_error(capsys, options, name):
+    code, out, err = run_cli(capsys, *TRANSDUCER_HEAD, *options)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert name in err and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_transducer_huge_cooperativity_reaches_its_limit(capsys):
+    # (1 + C)^2 overflows as a power; as a product it gives eta -> 0, N -> 1/2
+    code, out, err = run_cli(capsys, *TRANSDUCER_HEAD, "--C", "1e200", "--nth", "0.1")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["eta"], doc["N"], doc["physical"]) == (0.0, 0.5, True)
+
+
+def test_transducer_vanishing_temperature_is_empty_bath(capsys):
+    code, out, err = run_cli(
+        capsys, *TRANSDUCER_HEAD, "--C", "1", "--temp", "1e-320", "--freq", "5e9"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["nth"] == 0.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in JSON output")
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-320, 0.0, 0.5, 1.0]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    zeta_m=finite_or_not, zeta_o=finite_or_not, C=finite_or_not,
+    bath=st.one_of(
+        st.tuples(st.just("--nth"), finite_or_not),
+        st.tuples(st.just("--temp"), finite_or_not, st.just("--freq"), finite_or_not),
+    ),
+)
+def test_transducer_property_typed_outcome(zeta_m, zeta_o, C, bath):
+    """Any float for any option: exit 0 or 2 with strict JSON, or exit 1 with
+    one stderr line; never an uncaught exception."""
+    argv = ["transducer", f"--zeta-m={zeta_m!r}", f"--zeta-o={zeta_o!r}", f"--C={C!r}"]
+    argv += [f"{option}={value!r}" for option, value in zip(bath[::2], bath[1::2])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNPHYSICAL)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().strip().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert doc["physical"] is (code == EXIT_OK)
 
 
 def test_fidelity_swap_analytic(capsys):
@@ -244,6 +323,25 @@ def test_optimal_k_landmark(capsys):
     doc = json.loads(out)
     assert doc["k_star"] == 4
     assert doc["infidelity"] == pytest.approx(0.11226286038793376, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "eta, nbar, k_normal, k_star",
+    [("0.3", "0.1", 380, 4), ("0.95", "0", 950, 2)],
+)
+def test_optimal_k_scan_stops_where_k0_underflows(capsys, eta, nbar, k_normal, k_star):
+    # K0 leaves the normal floats after k_normal and reaches 0 below k = 1000;
+    # a longer scan stops there and agrees with the scan up to k_normal
+    docs = []
+    for k_max in (k_normal, 10_000):
+        code, out, err = run_cli(
+            capsys, "optimal-k", "--eta", eta, "--nbar", nbar, "--k-max", str(k_max), "--json"
+        )
+        assert code == EXIT_OK
+        docs.append(json.loads(out))
+    assert docs[0]["k_star"] == docs[1]["k_star"] == k_star
+    assert docs[0]["infidelity"] == docs[1]["infidelity"]
+    assert 0.0 <= docs[1]["infidelity"] <= 1.0
 
 
 def test_unknown_argument_is_usage_error(capsys):

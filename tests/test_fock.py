@@ -12,14 +12,12 @@ from tbswap.fock import (
     ModeOperator,
     MultiModeOperator,
     TruncationConfig,
-    TruncationError,
     annihilation,
     basis_index,
     beam_splitter_unitary,
     characteristic_function,
     characteristic_function_joint,
     creation,
-    displacement,
     fock_state,
     fock_vector,
     number_projector,
@@ -166,13 +164,6 @@ def test_hong_ou_mandel_dip():
     assert abs(amp_02) == pytest.approx(1.0 / math.sqrt(2), abs=1e-12)
 
 
-def test_displacement_unitary_and_identity_at_zero():
-    d = 10
-    u = displacement(0.7 - 0.3j, d).entries
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
-    np.testing.assert_allclose(displacement(0.0, d).entries, np.eye(d), atol=1e-14)
-
-
 def test_characteristic_function_vacuum():
     rho = fock_state(0, 8)
     for xi in (0.5, 1.0 + 0.5j, -1.3j, 2.0):
@@ -204,12 +195,6 @@ def test_characteristic_function_matches_closed_form():
             x2 = abs(xi) ** 2
             want = eval_laguerre(n, x2) * math.exp(-x2 / 2.0)
             assert got == pytest.approx(want, abs=CHI_CLOSED_FORM_TOL)
-
-
-def test_characteristic_function_flags_truncation():
-    rho = fock_state(0, 6)
-    with pytest.raises(TruncationError):
-        characteristic_function(rho, 3.0, max_dim=8)
 
 
 def test_characteristic_function_joint_factors():
