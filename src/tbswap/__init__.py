@@ -9,6 +9,7 @@ truncated-Fock-space simulation (modules fock, channel, states, swap).
 """
 
 from .analytic import (
+    Channels,
     SwapFidelityResult,
     optimal_k,
     rho_components,
@@ -70,6 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
+    "Channels",
     "DetectionPattern",
     "HeraldClass",
     "HeraldedState",

@@ -154,13 +154,17 @@ def transducer_to_channel(p: TransducerParams) -> ChannelParams:
 
     The conversion efficiency peaks at unit cooperativity, and the noise
     term decomposes as the pure-loss minimum plus a nonnegative thermal
-    contribution proportional to (1 - zeta_m) nth, so the result is physical
-    for every valid operating point. (1 + C)^2 is a product, not a power, so
-    a huge C gives its limit (eta 0, N 1/2) instead of an OverflowError.
+    contribution 4 zeta_o (1 - zeta_m) nth C/(1 + C)^2, so the result is
+    physical for every valid operating point; a channel with no thermal
+    contribution lands on the pure-loss line. (1 + C)^2 is a product, not a
+    power, so a huge C gives eta its limit 0 instead of an OverflowError,
+    and the thermal term divides by 1 + C twice, so a huge C with a huge nth
+    gives its finite limit 4 zeta_o (1 - zeta_m) nth/C, not inf/inf.
     """
     denom = (1.0 + p.C) * (1.0 + p.C)
     eta = p.zeta_m * p.zeta_o * 4.0 * p.C / denom
-    N = 0.5 + 2.0 * p.C * p.zeta_o * (2.0 * (1.0 - p.zeta_m) * p.nth - p.zeta_m) / denom
+    thermal = 4.0 * p.zeta_o * (1.0 - p.zeta_m) * (p.C / (1.0 + p.C) / (1.0 + p.C)) * p.nth
+    N = 0.5 * (1.0 - eta) + thermal
     return ChannelParams(eta=eta, N=N)
 
 

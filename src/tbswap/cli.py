@@ -15,13 +15,17 @@ Subcommands:
 
 Every quantity that ``fidelity`` and ``sweep`` evaluate is one entry of
 ``QUANTITIES``: its closed-form call, its oracle call, and the parameters it
-takes, which config validation reads.
+takes, which config validation reads. The closed form evaluates a whole
+section in one array call; the oracle evaluates point by point.
 
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
 parameters (the physicality margin is reported, never clamped), 3 request
 intractable: k > 6 bins or a Fock truncation the brute-force path cannot
-certify, or a herald of zero probability on either path. Channel options
-on the command line are held to the same domains as sweep configs.
+certify, or an impossible herald: on the closed-form path only eta = 0 at
+pure loss, where no photon reaches the detectors (a K0 that underflows is
+not impossible); on the oracle path a success probability below 1e-15.
+Channel options on the command line are held to the same domains as sweep
+configs.
 
 Sweep configs are a single JSON object; unknown keys are errors and every
 schema violation is listed before exiting. Grid points are evaluated in
@@ -39,10 +43,14 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import __version__
 from .analytic import (
+    Channels,
+    SwapFidelityResult,
     optimal_k,
     pick_k,
     state_fidelity_analytic,
@@ -413,9 +421,40 @@ def _k_max(q: dict[str, Any]) -> int:
     return int(q.get("k_max", 32))
 
 
-def _swap_analytic(p: ChannelParams, q: dict[str, Any]) -> tuple[float, float]:
-    result = swap_fidelity_n2(p) if q.get("n", 1) == 2 else swap_fidelity_k(p, int(q["k"]))
-    return result.fidelity, result.K0
+class _Points(NamedTuple):
+    """A section's points for the array engine: their channels, and their bin
+    and photon numbers as columns. Read as a spec, it gives k and n."""
+
+    channels: Channels
+    k: np.ndarray
+    n: np.ndarray
+    k_max: int
+
+
+def _points(channels: Iterable[ChannelParams], points: list[dict[str, Any]]) -> _Points:
+    return _Points(
+        Channels.of(channels),
+        np.array([int(q.get("k", 1)) for q in points]),
+        np.array([int(q.get("n", 1)) for q in points]),
+        _k_max(points[0]),
+    )
+
+
+def _swap_analytic(s: _Points, column: str) -> tuple[np.ndarray, SwapFidelityResult]:
+    """A column of the swap result, from the n = 2 closed form where n is 2
+    and the k-bin form elsewhere, and the result."""
+    two = s.n == 2
+    if two.all():
+        result = swap_fidelity_n2(s.channels)
+    else:
+        result = swap_fidelity_k(s.channels, s.k)
+        if two.any():
+            other = swap_fidelity_n2(s.channels)
+            result = SwapFidelityResult(**{
+                name: np.where(two, getattr(other, name), getattr(result, name))
+                for name in ("k", "n", "K0", "log_K0", "fidelity", "infidelity")
+            })
+    return getattr(result, column), result
 
 
 def _swap_oracle(p: ChannelParams, q: dict[str, Any]) -> tuple[float, float]:
@@ -435,17 +474,20 @@ def _oracle_optimal_k(p: ChannelParams, q: dict[str, Any]) -> tuple[int, float]:
 
 
 Evaluation = Callable[[ChannelParams, dict[str, Any]], tuple[float, float | None]]
+Engine = Callable[[_Points], tuple[np.ndarray, SwapFidelityResult | None]]
 
 
 @dataclass(frozen=True)
 class Quantity:
     """One evaluable quantity: two independent evaluations and its parameters.
 
-    analytic and oracle map (channel, point parameters) to (value, K0), where
-    K0 is the herald success weight of the swap fidelity and None elsewhere.
+    analytic maps a section's points to (values, the swap result behind them
+    or None), in one call into the closed-form array engine. oracle maps one
+    (channel, point parameters) to (value, K0), where K0 is the herald
+    success weight of the swap fidelity and None elsewhere.
     """
 
-    analytic: Evaluation
+    analytic: Engine
     oracle: Evaluation
     takes_k: bool = False  # a per-bin quantity: needs k, accepts n
     scans_k: bool = False  # scans k = 1..k_max itself
@@ -454,42 +496,52 @@ class Quantity:
 
 QUANTITIES: dict[str, Quantity] = {
     "state_fidelity": Quantity(
-        lambda p, q: (state_fidelity_analytic(_spec(q), p), None),
+        lambda s: (state_fidelity_analytic(s, s.channels), None),
         lambda p, q: (state_fidelity_oracle(_spec(q), p, _truncation(q)), None),
         takes_k=True,
         analytic_n2=False,
     ),
-    "swap_fidelity": Quantity(_swap_analytic, _swap_oracle, takes_k=True),
+    "swap_fidelity": Quantity(
+        lambda s: _swap_analytic(s, "fidelity"), _swap_oracle, takes_k=True
+    ),
     "swap_infidelity": Quantity(
-        lambda p, q: (1.0 - _swap_analytic(p, q)[0], None),
+        lambda s: _swap_analytic(s, "infidelity"),
         lambda p, q: (1.0 - _swap_oracle(p, q)[0], None),
         takes_k=True,
     ),
     "fidelity_ratio_n1_n2": Quantity(
-        lambda p, q: (swap_fidelity_n1(p).fidelity / swap_fidelity_n2(p).fidelity, None),
+        lambda s: (
+            swap_fidelity_n1(s.channels).fidelity / swap_fidelity_n2(s.channels).fidelity,
+            None,
+        ),
         lambda p, q: (_swap_oracle(p, {"k": 2})[0] / _swap_oracle(p, {"k": 2, "n": 2})[0], None),
     ),
     "optimal_k": Quantity(
-        lambda p, q: (float(optimal_k(p, _k_max(q))[0]), None),
+        lambda s: (optimal_k(s.channels, s.k_max)[0], None),
         lambda p, q: (float(_oracle_optimal_k(p, q)[0]), None),
         scans_k=True,
     ),
     "swap_infidelity_at_optimal_k": Quantity(
-        lambda p, q: (optimal_k(p, _k_max(q))[1], None),
+        lambda s: (optimal_k(s.channels, s.k_max)[1], None),
         lambda p, q: (_oracle_optimal_k(p, q)[1], None),
         scans_k=True,
     ),
 }
 
 
-def _evaluator(method: str) -> Callable[[str, dict[str, Any]], float]:
-    def evaluate(quantity: str, params: dict[str, Any]) -> float:
-        return getattr(QUANTITIES[quantity], method)(_channel_for(params), params)[0]
+def _analytic_section(quantity: str, points: list[dict[str, Any]]) -> list[float]:
+    """Values of a section's points: a ChannelParams per point, which
+    validates it, then one array call into the closed-form engine."""
+    channels = map(_channel_for, points)
+    return QUANTITIES[quantity].analytic(_points(channels, points))[0].tolist()
 
-    return evaluate
+
+def _oracle_section(quantity: str, points: list[dict[str, Any]]) -> list[float]:
+    evaluate = QUANTITIES[quantity].oracle
+    return [evaluate(_channel_for(q), q)[0] for q in points]
 
 
-_EVALUATORS = {method: _evaluator(method) for method in ("analytic", "oracle")}
+_EVALUATORS = {"analytic": _analytic_section, "oracle": _oracle_section}
 
 
 def _methods(method: str) -> tuple[str, ...]:
@@ -513,11 +565,12 @@ def run_sections(sections: Sequence[SweepSection]) -> list[tuple[str, str, str, 
                     params[section.axis1.name] = v1
                     params[section.axis2.name] = v2
                     points.append((_fmt(v1), _fmt(v2), params))
+        params = [q for _, _, q in points]
         for method in _methods(section.method):
-            evaluate = _EVALUATORS[method]
+            values = _EVALUATORS[method](section.quantity, params)
             rows.extend(
-                (a1, a2, section.quantity, _fmt(evaluate(section.quantity, params)), method)
-                for a1, a2, params in points
+                (a1, a2, section.quantity, _fmt(value), method)
+                for (a1, a2, _), value in zip(points, values)
             )
     return rows
 
@@ -644,10 +697,19 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     p = _channel_for(params)
     blocks: dict[str, dict[str, float]] = {}
     for method in _methods(args.method):
-        fid, k0 = getattr(quantity, method)(p, params)
-        blocks[method] = {"fidelity": fid, "infidelity": 1.0 - fid}
-        if k0 is not None:
-            blocks[method]["K0"] = k0
+        if method == "analytic":
+            values, result = quantity.analytic(_points([p], [params]))
+            fid = float(values[0])
+            block = {"fidelity": fid, "infidelity": 1.0 - fid}
+            if result is not None:
+                block.update(infidelity=float(result.infidelity[0]), K0=float(result.K0[0]),
+                             log_K0=float(result.log_K0[0]))
+        else:
+            fid, k0 = quantity.oracle(p, params)
+            block = {"fidelity": fid, "infidelity": 1.0 - fid}
+            if k0 is not None:
+                block.update(K0=k0, log_K0=math.log(k0))
+        blocks[method] = block
 
     base = {"kind": args.kind, "eta": p.eta, "N": p.N, "k": args.k, "n": args.n}
     where = f"eta = {_fmt(p.eta)}, N = {_fmt(p.N)}, k = {args.k}, n = {args.n}"
@@ -667,7 +729,9 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _fidelity_text(block: dict[str, float]) -> str:
-    extra = f", K0 = {_fmt(block['K0'])}" if "K0" in block else ""
+    extra = ""
+    if "K0" in block:
+        extra = f", K0 = {_fmt(block['K0'])} (log K0 = {_fmt(block['log_K0'])})"
     return f"fidelity = {_fmt(block['fidelity'])}, infidelity = {_fmt(block['infidelity'])}{extra}"
 
 

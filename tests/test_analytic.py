@@ -2,7 +2,12 @@
 brute-force heralded-state oracle."""
 
 import ast
+import math
+import random
+import sys
+import tracemalloc
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 
 import tbswap.analytic as analytic
 from tbswap.analytic import (
+    Channels,
     SwapFidelityResult,
     optimal_k,
     rho_components,
@@ -289,7 +295,136 @@ def test_analytic_imports_no_oracle_module():
 
 
 def test_result_dataclass_fields():
-    r = SwapFidelityResult(k=3, n=1, K0=0.01, fidelity=0.9, infidelity=0.1)
+    r = SwapFidelityResult(k=3, n=1, K0=0.01, log_K0=-4.6, fidelity=0.9, infidelity=0.1)
     assert (r.k, r.n) == (3, 1)
     with pytest.raises(AttributeError):
         r.fidelity = 0.5
+
+
+# ---------------------------------------------------------------------------
+# the array engine over the whole input domain
+
+# Physical channels over the float range: eta in [0, 1], N from half the
+# rounding slack ChannelParams accepts below the pure-loss line up to 1e308.
+extreme_eta = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 2**-53, 1.0]
+)
+excess_noise = st.floats(min_value=-5e-13, max_value=1e308) | st.sampled_from(
+    [-5e-13, 0.0, 5e-324, 1e-300, 1e-16, 1e-8, 1.0, 1e100, 1e300, 1e308]
+)
+
+
+@st.composite
+def physical_channels(draw):
+    eta = draw(extreme_eta)
+    if eta == 1.0:  # unit transmissivity allows no noise
+        return IDENT
+    return ChannelParams(eta=eta, N=max((1.0 - eta) / 2.0 + draw(excess_noise), 0.0))
+
+
+def possible(p: ChannelParams) -> bool:
+    """The canonical herald has nonzero probability unless eta = 0 at pure loss."""
+    return p.eta > 0.0 or p.t > 1.0
+
+
+def in_unit(value: float) -> bool:
+    return math.isfinite(value) and 0.0 <= value <= 1.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=physical_channels(), k=st.integers(min_value=1, max_value=10_000))
+def test_engine_is_finite_and_in_range_or_impossible(p, k):
+    state = state_fidelity_analytic(QubitTimeBinSpec(k=k), p)
+    assert in_unit(state)
+    calls = (
+        lambda: swap_fidelity_k(p, k), swap_fidelity_n1, swap_fidelity_n2,
+        lambda: rho_components(p, k), lambda: optimal_k(p, min(k, 64)),
+    )
+    if not possible(p):
+        for call in calls:
+            with pytest.raises(ImpossibleEventError, match="probability"):
+                call() if call.__name__ == "<lambda>" else call(p)
+        return
+    for r in (swap_fidelity_k(p, k), swap_fidelity_n1(p), swap_fidelity_n2(p)):
+        assert in_unit(r.fidelity) and in_unit(r.infidelity) and in_unit(r.K0)
+        assert math.isfinite(r.log_K0) and r.log_K0 <= 1e-12
+        assert r.fidelity + r.infidelity == pytest.approx(1.0, abs=1e-12)
+    rho11, ratio = rho_components(p, k)
+    assert in_unit(rho11) and 0.5 <= ratio <= 1.0
+    k_star, best = optimal_k(p, min(k, 64))
+    assert 1 <= k_star <= min(k, 64) and in_unit(best)
+
+
+class Spec(NamedTuple):
+    k: Any
+    n: Any = 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(physical_channels(), st.integers(min_value=1, max_value=300)),
+                min_size=1, max_size=12))
+def test_array_call_equals_scalar_calls_bit_for_bit(points):
+    points = [(p, k) for p, k in points if possible(p)]
+    if not points:
+        return
+    channels = Channels.of([p for p, _ in points])
+    ks = np.array([k for _, k in points])
+    swap = swap_fidelity_k(channels, ks)
+    n1, n2 = swap_fidelity_n1(channels), swap_fidelity_n2(channels)
+    state = state_fidelity_analytic(Spec(ks), channels)
+    rho = rho_components(channels, ks)
+    best = optimal_k(channels, 40)
+    fields = ("K0", "log_K0", "fidelity", "infidelity")
+    for i, (p, k) in enumerate(points):
+        for array, scalar in ((swap, swap_fidelity_k(p, k)), (n1, swap_fidelity_n1(p)),
+                              (n2, swap_fidelity_n2(p))):
+            assert [getattr(array, f)[i] for f in fields] == [getattr(scalar, f) for f in fields]
+        assert state[i] == state_fidelity_analytic(QubitTimeBinSpec(k=k), p)
+        assert (rho[0][i], rho[1][i]) == rho_components(p, k)
+        assert (best[0][i], best[1][i]) == optimal_k(p, 40)
+
+
+def mp_optimal_k(p: ChannelParams, k_max: int) -> int:
+    """k* by the source formulas in t at 50 digits, with the engine's scan end
+    (K0 below the smallest normal double) and tie rule."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        eta, t = mpmath.mpf(p.eta), mpmath.mpf(p.t)
+        hd = (eta + 2 * (t - 1) * (t - eta)) / (2 * t**4)
+        b = eta / (2 * t**4)
+        pair = (t - 1) * (t - eta) * (t * t + 2 * eta - t * (1 + eta)) / t**8
+        odd = (2 * t**3 - 2 * eta**2 - 2 * t * t * (1 + eta) + t * eta * (3 + eta)) / t**5
+        infidelities = []
+        for k in range(1, k_max + 1):
+            k0 = pair ** (k // 2) * (odd / 4 if k % 2 else mpmath.mpf(0.5)) + hd**k / 2
+            if k > 1 and k0 < sys.float_info.min:
+                break
+            infidelities.append(1 - (hd**k + b**k) / (4 * k0))
+        best = min(infidelities)
+        return next(k for k, inf in enumerate(infidelities, 1) if inf - best <= 1e-12)
+
+
+def test_optimal_k_matches_mpmath_argmin():
+    rng = random.Random(20251019)
+    sample = [ChannelParams.from_eta_nbar(0.7, 0.0), IDENT, P_06_01, P_08_01]
+    sample += [ChannelParams.from_eta_nbar(rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.5))
+               for _ in range(24)]
+    for p in sample:
+        for k_max in (16, 64):
+            assert optimal_k(p, k_max)[0] == mp_optimal_k(p, k_max), (p, k_max)
+
+
+def test_optimal_k_working_memory_is_blocked():
+    """3,600 channels scanned to k_max 4,096: the identity channel's scan runs
+    to k = 1,022, so one unblocked temporary would hold 29 MB."""
+    grid = [ChannelParams.from_eta_nbar(eta, nbar)
+            for eta in np.linspace(0.3, 1.0, 60) for nbar in np.linspace(0.0, 0.3, 60)]
+    channels = Channels.of(grid)
+    tracemalloc.start()
+    try:
+        k_star, _ = optimal_k(channels, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert k_star.shape == (3600,) and k_star.max() <= 4096

@@ -5,11 +5,14 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbswap.analytic import swap_fidelity_k, swap_fidelity_n2
+from tbswap.channel import ChannelParams
 from tbswap.cli import (
     CSV_HEADER,
     EXIT_INTRACTABLE,
@@ -116,6 +119,16 @@ def test_transducer_huge_cooperativity_reaches_its_limit(capsys):
     assert (doc["eta"], doc["N"], doc["physical"]) == (0.0, 0.5, True)
 
 
+def test_transducer_huge_cooperativity_and_bath_reach_their_limit(capsys):
+    # C (1 + C)^-2 nth is 1e-200 * 1e300 here; as a product of huge numbers it
+    # was inf/inf, reported as a bad noise coefficient the user never gave
+    code, out, err = run_cli(capsys, *TRANSDUCER_HEAD, "--C", "1e200", "--nth", "1e300")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["eta"] == 0.0 and doc["physical"] is True
+    assert doc["N"] == pytest.approx(0.5 + 4 * 0.9 * 0.1 * 1e300 / 1e200, rel=1e-12)
+
+
 def test_transducer_vanishing_temperature_is_empty_bath(capsys):
     code, out, err = run_cli(
         capsys, *TRANSDUCER_HEAD, "--C", "1", "--temp", "1e-320", "--freq", "5e9"
@@ -159,6 +172,48 @@ def test_transducer_property_typed_outcome(zeta_m, zeta_o, C, bath):
         assert doc["physical"] is (code == EXIT_OK)
 
 
+bin_count = st.integers(min_value=-2, max_value=10_000) | st.sampled_from(
+    [2**53, 2**53 + 1, 10**30]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["swap", "state", "optimal-k"]),
+    eta=finite_or_not,
+    noise=st.tuples(st.sampled_from(["--nbar", "--N"]), finite_or_not),
+    k=bin_count,
+    n=st.sampled_from([1, 2]),
+    method=st.sampled_from(["analytic", "oracle", "both"]),
+)
+def test_fidelity_and_optimal_k_property_typed_outcome(command, eta, noise, k, n, method):
+    """Any float for the channel, any bin count: exit 0 with strict JSON and
+    fidelities in [0, 1], or a documented error code with one stderr line;
+    never an uncaught exception."""
+    channel = [f"--eta={eta!r}", f"{noise[0]}={noise[1]!r}"]
+    if command == "optimal-k":
+        argv = ["optimal-k", *channel, f"--k-max={k}", "--json"]
+    else:
+        argv = ["fidelity", command, *channel, f"--k={k}", f"--n={n}", f"--method={method}",
+                "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNPHYSICAL, EXIT_INTRACTABLE)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().strip().splitlines()) == 1
+        return
+    assert err.getvalue() == ""
+    doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if command == "optimal-k":
+        assert 1 <= doc["k_star"] <= k
+    both = command != "optimal-k" and method == "both"
+    for block in [doc["analytic"], doc["oracle"]] if both else [doc]:
+        assert 0.0 <= block["fidelity"] <= 1.0 + 1e-12
+        assert 0.0 <= block.get("K0", 0.0) <= 1.0
+
+
 def test_fidelity_swap_analytic(capsys):
     code, out, err = run_cli(
         capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "0.1", "--k", "4", "--json"
@@ -168,6 +223,66 @@ def test_fidelity_swap_analytic(capsys):
     assert doc["fidelity"] == pytest.approx(0.8877371396120662, rel=1e-10)
     assert doc["K0"] == pytest.approx(0.002747721096619669, rel=1e-10)
     assert doc["method"] == "analytic"
+
+
+def test_fidelity_reports_log_k0(capsys):
+    argv = ("fidelity", "swap", "--eta", "0.6", "--nbar", "0.1", "--k", "4")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["log_K0"] == pytest.approx(math.log(0.002747721096619669), rel=1e-12)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert "K0 = 0.00274772109662 (log K0 = -5.896983403)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fidelity", "swap", "--eta", "0.6", "--nbar", "1e300", "--k", "2"),
+        ("fidelity", "swap", "--eta", "0.6", "--nbar", "1e300", "--k", "2", "--n", "2"),
+        ("fidelity", "state", "--eta", "0.6", "--nbar", "1e300", "--k", "2"),
+    ],
+)
+def test_fidelity_at_huge_noise_is_finite(capsys, argv):
+    # t^3 and t^4 overflowed here; in u = 1/t the swap fidelity reaches 1/4
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert 0.0 <= doc["fidelity"] <= 1.0
+    if argv[1] == "swap":
+        assert doc["fidelity"] == pytest.approx(0.25, abs=1e-12)
+        assert doc["K0"] == 0.0 and math.isfinite(doc["log_K0"])
+
+
+def test_optimal_k_at_huge_noise_is_finite(capsys):
+    code, out, err = run_cli(capsys, "optimal-k", "--eta", "0.6", "--nbar", "1e300", "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["k_star"] == 1
+    assert doc["infidelity"] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_fidelity_pure_loss_is_exact_where_k0_is_subnormal(capsys):
+    # K0 = 4.2e-321 here; the ratio of two subnormals read 1.00116959064
+    code, out, err = run_cli(
+        capsys, "fidelity", "swap", "--eta", "0.95", "--nbar", "0", "--k", "990", "--json"
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["fidelity"], doc["infidelity"]) == (1.0, 0.0)
+    assert doc["log_K0"] < math.log(sys.float_info.min)
+
+
+def test_fidelity_where_k0_underflows_is_not_impossible(capsys):
+    # K0 underflows to 0 long before k = 1e8; the herald is possible all the same
+    code, out, err = run_cli(
+        capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "0.1", "--k", "100000000", "--json"
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["K0"] == 0.0
+    assert doc["fidelity"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fidelity_swap_both_methods_agree(capsys):
@@ -497,6 +612,23 @@ def test_sweep_config_axis_values_form(tmp_path, capsys):
     rows = out.read_text().splitlines()[1:]
     fids = [float(r.split(",")[3]) for r in rows]
     assert fids == sorted(fids)  # rising extraction, rising fidelity
+
+
+def test_sweep_photon_number_axis_takes_each_closed_form():
+    # one array call per section: n = 1 points take the k-bin form, n = 2
+    # points the two-photon form
+    section, _, violations = parse_sweep_config({
+        "quantity": "swap_fidelity",
+        "axis1": {"name": "n", "values": [1, 2, 1]},
+        "axis2": {"name": "eta", "values": [0.6, 0.8]},
+        "fixed": {"k": 2, "nbar": 0.1},
+    })
+    assert not violations
+    values = [float(row[3]) for row in run_sections([section])]
+    p6, p8 = (ChannelParams.from_eta_nbar(eta, 0.1) for eta in (0.6, 0.8))
+    n1 = [swap_fidelity_k(p6, 2).fidelity, swap_fidelity_k(p8, 2).fidelity]
+    n2 = [swap_fidelity_n2(p6).fidelity, swap_fidelity_n2(p8).fidelity]
+    assert values == pytest.approx(n1 + n2 + n1, rel=1e-11)
 
 
 def test_sweep_config_violations_are_exhaustive(tmp_path, capsys):
