@@ -8,6 +8,8 @@ expressions in the channel parameters (module analytic) and brute-force
 truncated-Fock-space simulation (modules fock, channel, states, swap).
 """
 
+import types
+
 from .analytic import (
     Channels,
     SwapFidelityResult,
@@ -69,54 +71,7 @@ from .swap import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelParams",
-    "Channels",
-    "DetectionPattern",
-    "HeraldClass",
-    "HeraldedState",
-    "HybridDensity",
-    "ImpossibleEventError",
-    "ModeOperator",
-    "MultiModeOperator",
-    "PHI_MINUS",
-    "PHI_PLUS",
-    "PSI_MINUS",
-    "PSI_PLUS",
-    "QubitTimeBinSpec",
-    "SwapFidelityResult",
-    "TransducerParams",
-    "TruncationConfig",
-    "TruncationError",
-    "UnphysicalChannelError",
-    "annihilation",
-    "apply_channel_closed_form",
-    "apply_channel_oracle",
-    "beam_splitter_unitary",
-    "bose_einstein",
-    "channel_output",
-    "characteristic_function",
-    "characteristic_function_joint",
-    "chi_measurement",
-    "classify_single_photon",
-    "classify_two_photon",
-    "creation",
-    "fock_state",
-    "fock_vector",
-    "heralded_state",
-    "ideal_state",
-    "measurement_operator",
-    "optimal_k",
-    "parity_trace",
-    "partial_trace",
-    "rho_components",
-    "state_fidelity_analytic",
-    "state_fidelity_oracle",
-    "swap_fidelity_k",
-    "swap_fidelity_n1",
-    "swap_fidelity_n2",
-    "tensor",
-    "thermal_state",
-    "transducer_to_channel",
-    "__version__",
-]
+# Every public name imported above, the submodules aside.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+__all__.append("__version__")

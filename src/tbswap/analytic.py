@@ -65,6 +65,8 @@ LOG2, LOG32 = math.log(2.0), math.log(32.0)
 # Bin counts enter products with floats, which hold every integer up to here.
 K_MAX = 2**53
 
+DEFAULT_K_MAX = 32  # of optimal_k, and of every scan over k that sets none
+
 
 class Channels(NamedTuple):
     """Channels for the array engine: eta and t = (1 + eta)/2 + N as arrays."""
@@ -275,7 +277,7 @@ def pick_k(infidelities) -> tuple[int, float]:
     return _out(i.shape, i + 1, np.take_along_axis(scans, i[..., None], axis=-1)[..., 0])
 
 
-def optimal_k(p: ChannelParams, k_max: int = 32) -> tuple[int, float]:
+def optimal_k(p: ChannelParams, k_max: int = DEFAULT_K_MAX) -> tuple[int, float]:
     """Exhaustive argmin of the swap infidelity over k in [1, k_max], ties by pick_k.
 
     K0 shrinks geometrically with k. A scan ends at the first k > 1 whose K0

@@ -44,6 +44,11 @@ from .fock import partial_trace, tensor  # noqa: F401
 # constructed in floating point can sit a rounding error below the line.
 PHYSICALITY_TOL = 1e-12
 
+# apply_channel_oracle adds environment levels up to this many. _mixing_unitary
+# caches 128 entries of 16 d_box^3 bytes (d_box = d_sys + d_env - 1): about
+# 16 MB at d_sys = 5 and 16 levels, which reach nbar = 0.57 at tail_tol 1e-7.
+D_ENV_MAX = 16
+
 
 class ImpossibleEventError(RuntimeError):
     """The requested herald has zero probability for these inputs."""
@@ -286,12 +291,15 @@ def apply_channel_oracle(
     K_jm[n, a] is nonzero only for a + m = n + j, where it is the entry
     [n, a] of U's block on the sector N = a + m (see _mixing_unitary).
 
-    Exactness: the inputs reach at most N = (d_in - 1) + (d_env - 1)
-    <= cfg.d_sys + cfg.d_env - 2, and every sector up to that is complete
-    in the blocks, so the mixing is exact on everything the input touches.
-    The only approximation is the environment's discarded geometric tail,
-    whose mass is checked against cfg.tail_tol up front. Only Fock matrix
-    elements of the dilation enter; nothing comes from the closed forms.
+    d_env starts at cfg.d_env and grows until the discarded geometric tail
+    is at most cfg.tail_tol; past D_ENV_MAX levels that raises
+    TruncationError.
+
+    Exactness: the inputs reach at most N = (d_in - 1) + (d_env - 1), and
+    every sector up to that is complete in the blocks, so the mixing is
+    exact on everything the input touches. The only approximation is the
+    environment's tail. Only Fock matrix elements of the dilation enter;
+    nothing comes from the closed forms.
 
     The output is returned at cfg.d_sys levels without renormalization.
     Entries inside the returned corner are exact up to the environment
@@ -312,15 +320,17 @@ def apply_channel_oracle(
         padded[:d_in, :d_in] = rho.entries
         return ModeOperator(cfg.d_sys, padded)
     nbar = p.nbar
-    tail = thermal_tail_mass(nbar, cfg.d_env)
-    if tail > cfg.tail_tol:
-        raise TruncationError(
-            f"environment tail mass {tail:.3e} exceeds tail_tol {cfg.tail_tol:.1e}; "
-            f"raise d_env above {cfg.d_env} for nbar = {nbar:.4f}"
-        )
-    weights = thermal_state(nbar, cfg.d_env).entries.diagonal().real
-    blocks = _mixing_unitary(p.eta, cfg.d_sys + cfg.d_env - 1)
-    flat, conserving = _kraus_layout(d_in, cfg.d_sys, cfg.d_env)
+    d_env = cfg.d_env
+    while (tail := thermal_tail_mass(nbar, d_env)) > cfg.tail_tol:
+        if d_env >= D_ENV_MAX:
+            raise TruncationError(
+                f"environment tail mass {tail:.3e} exceeds tail_tol {cfg.tail_tol:.1e} "
+                f"at nbar = {nbar:.4f} even with {d_env} levels (at most {D_ENV_MAX})"
+            )
+        d_env += 1
+    weights = thermal_state(nbar, d_env).entries.diagonal().real
+    blocks = _mixing_unitary(p.eta, cfg.d_sys + d_env - 1)
+    flat, conserving = _kraus_layout(d_in, cfg.d_sys, d_env)
     kraus = blocks.reshape(-1)[flat] * conserving
     weighted = (kraus * weights[:, None, None]) @ rho.entries
     out = np.einsum("jmna,jmpa->np", weighted, kraus.conj())

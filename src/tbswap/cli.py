@@ -20,10 +20,11 @@ section in one array call; the oracle evaluates point by point.
 
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
 parameters (the physicality margin is reported, never clamped), 3 request
-intractable: k > 6 bins or a Fock truncation the brute-force path cannot
-certify, or an impossible herald: on the closed-form path only eta = 0 at
-pure loss, where no photon reaches the detectors (a K0 that underflows is
-not impossible); on the oracle path a success probability below 1e-15.
+intractable for the oracle: an environment beyond 16 levels (nbar above
+about 0.57), or k > 1,023, from where no herald weight is a normal double
+(K0 < 2^(1 - k)); or an impossible herald: on the closed-form path only
+eta = 0 at pure loss (a K0 that underflows is not impossible), on the
+oracle path a weight that is 0 to rounding.
 Channel options on the command line are held to the same domains as sweep
 configs.
 
@@ -49,6 +50,8 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    DEFAULT_K_MAX,
+    LOG_MIN,
     Channels,
     SwapFidelityResult,
     optimal_k,
@@ -81,10 +84,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNPHYSICAL = 2
 EXIT_INTRACTABLE = 3
-
-# Brute-force heralds beyond this many bins are refused at the interface;
-# the library itself stays O(k) per evaluation but sweeps multiply.
-ORACLE_MAX_BINS = 6
 
 CSV_HEADER = ("axis1", "axis2", "quantity", "value", "method")
 FLOAT_FORMAT = ".12g"
@@ -185,7 +184,7 @@ def _check_value(name: str, value: Any, where: str, violations: list[str]) -> An
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         violations.append(f"{where}: {name} must be a number, got {value!r}")
         return None
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past the float range
         violations.append(f"{where}: {name} must be finite, got {value!r}")
         return None
     if name in INTEGER_NAMES:
@@ -370,23 +369,6 @@ def _check_parameter_closure(section: SweepSection) -> list[str]:
     return violations
 
 
-def _max_k_request(section: SweepSection) -> int:
-    values = _values_of(section, "k")
-    if QUANTITIES[section.quantity].scans_k:
-        values.append(_k_max(section.fixed))
-    return int(max(values, default=1))
-
-
-def _guard_tractable(quantity: str, method: str, k: int) -> None:
-    if method != "analytic" and k > ORACLE_MAX_BINS:
-        raise CliError(
-            f"oracle evaluation of {quantity} would need k = {k} "
-            f"bins; the brute-force path is limited to k <= {ORACLE_MAX_BINS}. "
-            f"Use method analytic for larger k.",
-            EXIT_INTRACTABLE,
-        )
-
-
 # ---------------------------------------------------------------------------
 # quantities and point evaluation
 #
@@ -418,7 +400,7 @@ def _truncation(q: dict[str, Any]) -> TruncationConfig:
 
 
 def _k_max(q: dict[str, Any]) -> int:
-    return int(q.get("k_max", 32))
+    return int(q.get("k_max", DEFAULT_K_MAX))
 
 
 class _Points(NamedTuple):
@@ -464,13 +446,20 @@ def _swap_oracle(p: ChannelParams, q: dict[str, Any]) -> tuple[float, float]:
     else:
         pattern = DetectionPattern(k=2, counts=((2, 0), (2, 0)))
     h = heralded_state(p, p, spec, pattern, _truncation(q))
-    return h.fidelity_phi_plus, h.success_probability
+    return h.fidelity_phi_plus, h.log_success_probability
 
 
 def _oracle_optimal_k(p: ChannelParams, q: dict[str, Any]) -> tuple[int, float]:
-    """Brute-force counterpart of analytic.optimal_k: scans heralded states,
-    then breaks ties by the same rule."""
-    return pick_k([1.0 - _swap_oracle(p, {"k": k})[0] for k in range(1, _k_max(q) + 1)])
+    """Brute-force counterpart of analytic.optimal_k: scans heralded states up
+    to the first k > 1 whose weight is below the smallest normal double (at
+    most states.MAX_BINS), then breaks ties by the same rule."""
+    infidelities = []
+    for k in range(1, _k_max(q) + 1):
+        fid, log_k0 = _swap_oracle(p, {"k": k})
+        if k > 1 and log_k0 < LOG_MIN:
+            break
+        infidelities.append(1.0 - fid)
+    return pick_k(infidelities)
 
 
 Evaluation = Callable[[ChannelParams, dict[str, Any]], tuple[float, float | None]]
@@ -483,8 +472,8 @@ class Quantity:
 
     analytic maps a section's points to (values, the swap result behind them
     or None), in one call into the closed-form array engine. oracle maps one
-    (channel, point parameters) to (value, K0), where K0 is the herald
-    success weight of the swap fidelity and None elsewhere.
+    (channel, point parameters) to (value, log K0), where K0 is the herald
+    success weight of the swap fidelity, and log K0 is None elsewhere.
     """
 
     analytic: Engine
@@ -692,7 +681,6 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         raise CliError("n = 2 encodings are two-bin; --k must be 2")
     if args.n == 2 and not quantity.analytic_n2 and args.method != "oracle":
         raise CliError(f"{args.kind} fidelity has no closed form for n = 2; use --method oracle")
-    _guard_tractable(name, args.method, args.k)
     params = _given(args)
     p = _channel_for(params)
     blocks: dict[str, dict[str, float]] = {}
@@ -705,10 +693,10 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
                 block.update(infidelity=float(result.infidelity[0]), K0=float(result.K0[0]),
                              log_K0=float(result.log_K0[0]))
         else:
-            fid, k0 = quantity.oracle(p, params)
+            fid, log_k0 = quantity.oracle(p, params)
             block = {"fidelity": fid, "infidelity": 1.0 - fid}
-            if k0 is not None:
-                block.update(K0=k0, log_K0=math.log(k0))
+            if log_k0 is not None:
+                block.update(K0=math.exp(log_k0), log_K0=log_k0)
         blocks[method] = block
 
     base = {"kind": args.kind, "eta": p.eta, "N": p.N, "k": args.k, "n": args.n}
@@ -811,8 +799,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             out = Path(config_out)
         else:
             raise CliError("no output path: set 'out' in the config or pass --out")
-    for section in sections:
-        _guard_tractable(section.quantity, section.method, _max_k_request(section))
     count = write_sweep(sections, out)
     summary = {
         "rows": count,
@@ -882,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ok = sub.add_parser(
         "optimal-k", parents=[common, channel], help="best bin count for a channel",
     )
-    p_ok.add_argument("--k-max", dest="k_max", type=int, default=32,
+    p_ok.add_argument("--k-max", dest="k_max", type=int, default=DEFAULT_K_MAX,
                       help="largest bin count scanned")
     p_ok.set_defaults(func=cmd_optimal_k)
 

@@ -37,9 +37,10 @@ class TruncationError(RuntimeError):
 class TruncationConfig:
     """Cutoff bookkeeping for the brute-force (oracle) code paths.
 
-    d_sys is the per-mode dimension of system states, d_env the dimension of
-    the thermal environment mode fed into the channel dilation, and tail_tol
-    the largest thermal tail mass we are willing to discard silently.
+    d_sys is the per-mode dimension of system states, d_env the fewest levels
+    of the thermal environment mode fed into the channel dilation (the oracle
+    adds levels until the tail fits), and tail_tol the largest thermal tail
+    mass we are willing to discard silently.
     """
 
     d_sys: int = 4
@@ -158,8 +159,6 @@ def thermal_tail_mass(nbar: float, d: int) -> float:
     """
     if nbar < 0:
         raise ValueError("mean occupation must be nonnegative")
-    if nbar == 0:
-        return 0.0
     return float((nbar / (1.0 + nbar)) ** d)
 
 

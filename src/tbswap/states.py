@@ -26,9 +26,21 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .channel import ChannelParams, apply_channel_oracle
-from .fock import ModeOperator, MultiModeOperator, TruncationConfig, fock_vector
+from .fock import ModeOperator, MultiModeOperator, TruncationConfig, TruncationError, fock_vector
 
 GROUND, EXCITED = 0, 1
+
+# The canonical herald of k bins weighs K0 < 2^(1 - k): from this k on, no
+# normal double (2^-1022 is the smallest). Scans over k stop by then, by the
+# rule of analytic.optimal_k, and the oracle builds no longer encoding.
+MAX_BINS = 1023
+
+
+def check_bins(k: int) -> None:
+    """Raise TruncationError past MAX_BINS bins, before anything of size k is built."""
+    if k > MAX_BINS:
+        raise TruncationError(f"k = {k} bins: from k = {MAX_BINS} on no herald weight is a "
+                              f"normal double (K0 < 2^(1 - k)); the oracle stops there")
 
 
 @dataclass(frozen=True)
@@ -172,8 +184,10 @@ def channel_output(
     independently; only four distinct single-mode images are ever needed
     (|n><n|, |0><0|, |n><0|, |0><n|), whatever k is. They are cached per
     (n, channel, truncation) in a bounded cache, so calls that differ only
-    in k reuse them, and every bin shares them.
+    in k reuse them, and every bin shares them. More than MAX_BINS bins
+    raise TruncationError.
     """
+    check_bins(spec.k)
     if cfg.d_sys < spec.n + 2:
         raise ValueError(
             f"d_sys = {cfg.d_sys} leaves no headroom above the {spec.n}-photon encoding; "

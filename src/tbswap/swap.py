@@ -19,15 +19,18 @@ unnormalized 4x4 qubit matrix is their element-wise product. A state's bins
 are one (2, 2, d, d) array for the even bins and its qubit-swapped view
 for the odd ones, so a bin's tensor depends only on its parity and its
 counts. Each distinct (bin parity, counts) pair is contracted once (two for
-the canonical pattern), and k enters only through an O(k) product of
-2x2x2x2 arrays. No 2k-mode tensor is ever assembled.
+the canonical pattern), and k enters only through counting them. No 2k-mode
+tensor is ever assembled.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +41,11 @@ from .fock import (
     MultiModeOperator,
     TruncationConfig,
     TruncationError,
-    basis_index,
     beam_splitter_unitary,
     number_projector,
     tensor,
 )
-from .states import HybridDensity, QubitTimeBinSpec, channel_output
+from .states import HybridDensity, QubitTimeBinSpec, channel_output, check_bins
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -52,6 +54,11 @@ PHI_PLUS = np.array([0.0, SQRT_HALF, SQRT_HALF, 0.0])
 PHI_MINUS = np.array([0.0, SQRT_HALF, -SQRT_HALF, 0.0])
 PSI_PLUS = np.array([SQRT_HALF, 0.0, 0.0, SQRT_HALF])
 PSI_MINUS = np.array([SQRT_HALF, 0.0, 0.0, -SQRT_HALF])
+
+# A bin's weights (its tensor's diagonal) sum to 1 over all counts on each
+# qubit branch. On that scale a weight within rounding of 0 is 0; one that
+# should vanish comes out near 1e-32, the square of a rounding error.
+ZERO_WEIGHT = sys.float_info.epsilon
 
 
 class HeraldClass(Enum):
@@ -78,7 +85,9 @@ class DetectionPattern:
 
     @classmethod
     def canonical(cls, k: int) -> "DetectionPattern":
-        """The reference herald |1010...>: one photon at port A in every bin."""
+        """The reference herald |1010...>: one photon at port A in every bin;
+        more than states.MAX_BINS bins raise TruncationError."""
+        check_bins(k)
         return cls(k=k, counts=((1, 0),) * k)
 
     @property
@@ -158,15 +167,21 @@ class HeraldedState:
     """Conditional two-qubit state after a detection pattern.
 
     rho is 4x4 over {gg, ge, eg, ee}; success_probability is the pattern's
-    probability (the trace before normalization); fidelity_phi_plus is
-    <Phi+|rho|Phi+>.
+    probability (the trace before normalization) and log_success_probability
+    its logarithm, finite where the probability underflows (derived from the
+    probability when not given); fidelity_phi_plus is <Phi+|rho|Phi+>.
     """
 
     rho: np.ndarray
     success_probability: float
     fidelity_phi_plus: float
+    log_success_probability: float | None = None
 
     def __post_init__(self) -> None:
+        if self.log_success_probability is None:
+            weight = self.success_probability
+            log = math.log(weight) if weight > 0.0 else -math.inf
+            object.__setattr__(self, "log_success_probability", log)
         arr = np.asarray(self.rho, dtype=complex)
         if arr.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {arr.shape}")
@@ -179,6 +194,15 @@ class HeraldedState:
         return float(np.real(bell.conj() @ self.rho @ bell))
 
 
+@lru_cache(maxsize=64)
+def _measurement_kernel(counts: tuple[int, int], d: int) -> np.ndarray:
+    """G[(m, n), (p, q)] = conj(W[m, p]) W[n, q], W = U+|a b> reshaped (d, d)."""
+    W = beam_splitter_unitary(d).entries[counts[0] * d + counts[1]].conj().reshape(d, d)
+    kernel = np.kron(W.conj(), W)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _bin_trace_tensor(
     blocks_a: HybridDensity, blocks_b: HybridDensity, i: int, counts: tuple[int, int], d: int
 ) -> np.ndarray:
@@ -187,17 +211,14 @@ def _bin_trace_tensor(
     X = blocks_a.blocks[i] and Y = blocks_b.blocks[i], each (2, 2, d, d).
     M = U+ |a b><a b| U is the measurement element of this bin; the trace is
     evaluated through the projected vector w = U+|a b> instead of assembling
-    M, so nothing bigger than d x d appears:
-        T = sum conj(W[m,p]) X[m,n] Y[p,q] W[n,q],  W = w reshaped (d, d).
-    The sum over (m, n) is A = W+ X W, one batched matmul over the four X
-    blocks; the sum over (p, q) pairs A with the four Y blocks entry-wise.
+    M, so nothing bigger than d^2 x d^2 appears:
+        T = sum conj(W[m,p]) X[m,n] Y[p,q] W[n,q],  W = w reshaped (d, d),
+    which is vec(X) G vec(Y) with the kernel G of _measurement_kernel: two
+    matmuls over the four X blocks and the four Y blocks.
     """
-    u = beam_splitter_unitary(d)
-    w = u.entries[basis_index(counts, (d, d)), :].conj()
-    W = w.reshape(d, d)
-    A = W.conj().T @ blocks_a.blocks[i] @ W
+    X = blocks_a.blocks[i].reshape(4, d * d)
     Y = blocks_b.blocks[i].reshape(4, d * d)
-    return (A.reshape(4, d * d) @ Y.T).reshape(2, 2, 2, 2)
+    return (X @ _measurement_kernel(counts, d) @ Y.T).reshape(2, 2, 2, 2)
 
 
 def heralded_state(
@@ -212,13 +233,15 @@ def heralded_state(
     Alice's and Bob's channel outputs are pushed through the per-bin beam
     splitters and contracted with the pattern's number projectors. Channels
     may differ between the two sides. Any pattern is accepted, including
-    ones the classifier calls Invalid; a pattern with zero probability for
-    these inputs raises ImpossibleEventError.
+    ones the classifier calls Invalid. The weight shrinks like 2^(-k), so
+    the product over bins is a sum of entry-wise logs. An entry within
+    ZERO_WEIGHT of 0 is 0; a pattern with such a bin on every qubit branch
+    has probability 0 and raises ImpossibleEventError.
 
     Cost: one trace tensor per distinct (bin parity, counts) pair (two for
     the canonical pattern, at most four for any one-photon-per-bin
-    pattern), plus an O(k) element-wise product; the channel images come
-    from channel_output's cache.
+    pattern), and O(k) only in counting them; the channel images come from
+    channel_output's cache.
     """
     if pattern.k != spec.k:
         raise ValueError(f"pattern has {pattern.k} bins, encoding has {spec.k}")
@@ -232,26 +255,27 @@ def heralded_state(
     out_b = out_a if p_B == p_A else channel_output(spec, p_B, cfg)
 
     # On both sides every bin of one parity holds the same blocks, so a bin's
-    # parity and counts fix its tensor.
-    tensors: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
-    prod = np.ones((2, 2, 2, 2), dtype=complex)
-    for i, counts in enumerate(pattern.counts):
-        key = (i % 2, counts)
-        if key not in tensors:
-            tensors[key] = _bin_trace_tensor(out_a, out_b, i, counts, d)
-        prod *= tensors[key]
-    # Rows and columns over (qA, qB): unnorm[2 qA + qB, 2 qA' + qB'].
-    unnorm = prod.transpose(0, 2, 1, 3).reshape(4, 4) * (out_a.norm * out_b.norm)
-
-    success = float(np.real(np.trace(unnorm)))
-    if success < 1e-15:
+    # parity and counts fix its tensor. Rows and columns over (qA, qB).
+    bins = Counter((i % 2, counts) for i, counts in enumerate(pattern.counts))
+    tensors = np.array([_bin_trace_tensor(out_a, out_b, i, c, d) for i, c in bins])
+    tensors = tensors.transpose(0, 1, 3, 2, 4).reshape(-1, 16)
+    zero = np.abs(tensors) <= ZERO_WEIGHT
+    log_unnorm = np.fromiter(bins.values(), float) @ np.log(np.where(zero, 1.0, tensors))
+    log_unnorm[zero.any(axis=0)] = -np.inf
+    log_unnorm = log_unnorm.reshape(4, 4)
+    top = log_unnorm.diagonal().real.max()
+    if top == -np.inf:
         raise ImpossibleEventError(
-            f"pattern {pattern.counts} has probability {success:.3e} for these channels"
+            f"pattern of k = {pattern.k} bins with counts {sorted(set(pattern.counts))} "
+            f"has probability 0 to rounding for these channels"
         )
-    rho = unnorm / success
-    rho = (rho + rho.conj().T) / 2.0  # scrub roundoff asymmetry
-    fid = float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
-    return HeraldedState(rho=rho, success_probability=success, fidelity_phi_plus=fid)
+    unnorm = np.exp(log_unnorm - top)
+    trace = unnorm.trace().real  # in [1, 4]
+    rho = (unnorm + unnorm.conj().T) / (2.0 * trace)  # scrub roundoff asymmetry
+    fid = float((PHI_PLUS @ rho @ PHI_PLUS).real)
+    log_success = top + math.log(trace * out_a.norm * out_b.norm)
+    return HeraldedState(rho=rho, success_probability=math.exp(log_success),
+                         fidelity_phi_plus=fid, log_success_probability=log_success)
 
 
 def measurement_operator(pattern: DetectionPattern, d: int) -> MultiModeOperator:

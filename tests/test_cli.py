@@ -19,7 +19,6 @@ from tbswap.cli import (
     EXIT_OK,
     EXIT_UNPHYSICAL,
     EXIT_USAGE,
-    ORACLE_MAX_BINS,
     config_hash,
     main,
     parse_sweep_config,
@@ -306,19 +305,31 @@ def test_fidelity_state_text_output(capsys):
 
 
 def test_fidelity_oracle_bin_guard(capsys):
+    # the oracle has no bin cap below k = 1,023: k = 9 runs and agrees
     code, out, err = run_cli(
         capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "0.1",
-        "--k", str(ORACLE_MAX_BINS + 3), "--method", "oracle",
+        "--k", "9", "--method", "both", "--json",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["delta"] < 1e-5
+
+
+def test_fidelity_oracle_refuses_more_bins_than_a_normal_weight_allows(capsys):
+    code, out, err = run_cli(
+        capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "0.1",
+        "--k", "1024", "--method", "oracle",
     )
     assert code == EXIT_INTRACTABLE
-    assert "analytic" in err  # points at the tractable alternative
+    assert out == ""
+    assert "1023" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_fidelity_truncation_refusal_exits_intractable(capsys):
-    # nbar = 0.2 puts more thermal tail above the environment cutoff than the
-    # oracle will certify
+    # nbar = 1.0 needs more environment levels than the oracle's ceiling of 16
+    # to bring the thermal tail under tail_tol
     code, out, err = run_cli(
-        capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "0.2", "--k", "2",
+        capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "1.0", "--k", "2",
         "--method", "both",
     )
     assert code == EXIT_INTRACTABLE
@@ -574,6 +585,51 @@ def test_sweep_config_optimal_k_pair_both_methods(tmp_path, capsys):
         assert o == pytest.approx(a, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "eta, nbar, k, n",
+    [
+        (0.3, 0.3, 2, 1), (0.3, 0.3, 2, 2), (0.65, 0.3, 2, 1), (0.65, 0.3, 2, 2),  # fig4a
+        (0.6, 0.1, 10, 1), (0.8, 0.1, 10, 1),  # fig4b
+    ],
+)
+def test_fidelity_both_reaches_fig4_presets(capsys, eta, nbar, k, n):
+    """fig4a's top nbar row at n = 1 and 2, and fig4b's largest k: the oracle
+    sizes its environment and keeps its weight, and agrees within 1e-5."""
+    code, out, err = run_cli(
+        capsys, "fidelity", "swap", "--eta", repr(eta), "--nbar", repr(nbar),
+        "--k", str(k), "--n", str(n), "--method", "both", "--json",
+    )
+    assert code == EXIT_OK, err
+    assert json.loads(out)["delta"] <= 1e-5
+
+
+def test_sweep_both_reaches_fig5b(tmp_path, capsys):
+    """fig5b's pair at k_max 16 on (zeta, C) points that include its corner
+    (0.5, 0.05), whose oracle scan passes k = 10, where K0 falls below
+    1e-15: equal k* on both paths and infidelities within 1e-5."""
+    values = {}
+    for quantity in ("optimal_k", "swap_infidelity_at_optimal_k"):
+        out = tmp_path / f"{quantity}.csv"
+        config = {
+            "quantity": quantity,
+            "axis1": {"name": "zeta", "values": [0.5, 0.75, 1.0]},
+            "axis2": {"name": "C", "values": [0.05, 0.5, 2.0]},
+            "fixed": {"nth": 0.1, "k_max": 16},
+            "method": "both",
+            "out": str(out),
+        }
+        cfg_path = tmp_path / f"{quantity}.json"
+        cfg_path.write_text(json.dumps(config))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == EXIT_OK, err
+        values[quantity] = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+
+    k_star = values["optimal_k"]
+    assert k_star[:9] == k_star[9:]  # analytic rows, then oracle rows
+    best = values["swap_infidelity_at_optimal_k"]
+    assert best[9:] == pytest.approx(best[:9], abs=1e-5)
+
+
 def test_sweep_optimal_k_pure_loss_ties_agree(tmp_path, capsys):
     """At pure loss every k >= 2 has fidelity 1 up to rounding; both scans
     take the smallest k within the tie tolerance, so their rows are equal."""
@@ -666,17 +722,22 @@ def test_sweep_config_rejects_incomplete_parametrization(tmp_path, capsys):
 
 
 def test_sweep_oracle_guard(tmp_path, capsys):
+    # an oracle sweep past k = 6 runs, and agrees with the closed form
     config = {
         "quantity": "swap_fidelity",
         "axis1": {"name": "k", "min": 1, "max": 8, "steps": 8},
         "fixed": {"eta": 0.6, "nbar": 0.1},
-        "method": "oracle",
+        "method": "both",
         "out": str(tmp_path / "x.csv"),
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(config))
     code, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
-    assert code == EXIT_INTRACTABLE
+    assert code == EXIT_OK
+    rows = (tmp_path / "x.csv").read_text().splitlines()[1:]
+    values = [float(row.split(",")[3]) for row in rows]
+    assert len(values) == 16
+    assert values[:8] == pytest.approx(values[8:], abs=1e-5)
 
 
 def test_sweep_unphysical_point_exits_two(tmp_path, capsys):
@@ -733,10 +794,11 @@ def test_parse_sweep_config_rejects_non_finite_values():
         {
             "quantity": "swap_fidelity",
             "axis1": {"name": "eta", "values": [0.5, float("nan")]},
+            "axis2": {"name": "k", "values": [10**400]},
             "fixed": {"nbar": float("inf"), "k": float("inf")},
         }
     )
-    assert len(violations) == 3
+    assert len(violations) == 4
     assert all("must be finite" in violation for violation in violations)
 
 

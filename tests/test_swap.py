@@ -11,6 +11,7 @@ parity-register algorithm under test.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,6 +340,19 @@ def test_impossible_event_raises():
         )
 
 
+def test_impossible_event_message_names_k_and_distinct_counts():
+    # no photon reaches the detectors; the message stays one short line at any k
+    dark = ChannelParams.from_eta_nbar(0.0, 0.0)
+    cfg = TruncationConfig.for_encoding(1)
+    with pytest.raises(ImpossibleEventError, match="probability") as info:
+        heralded_state(
+            dark, dark, QubitTimeBinSpec(k=1000), DetectionPattern.canonical(1000), cfg
+        )
+    message = str(info.value)
+    assert "k = 1000" in message and "(1, 0)" in message
+    assert len(message) < 200
+
+
 def test_invalid_but_possible_pattern_computes():
     """Patterns outside the tables still produce a conditional state once
     noise makes them possible."""
@@ -523,6 +537,28 @@ def test_heralded_state_matches_unshared_reference(p_a, p_b):
         got = heralded_state(p_a, p_b, spec, pattern, cfg)
         np.testing.assert_allclose(got.rho, rho, rtol=0.0, atol=CONTRACTION_TOL)
         assert got.success_probability == pytest.approx(success, rel=0.0, abs=CONTRACTION_TOL)
+
+
+def test_heralded_weight_stays_in_log_form_for_unequal_channels():
+    """2m canonical bins multiply the two-bin product entry by entry m times.
+    At m = 400 its weight underflows doubles; the heralded state and its log
+    weight still match that power, taken in mpmath."""
+    cfg = TruncationConfig.for_encoding(1)
+    m = 400
+    two = heralded_state(P_A, P_B, QubitTimeBinSpec(k=2), DetectionPattern.canonical(2), cfg)
+    many = heralded_state(
+        P_A, P_B, QubitTimeBinSpec(k=2 * m), DetectionPattern.canonical(2 * m), cfg
+    )
+    norms = mpmath.mpf(1) / 4  # the two states' norms, 1/2 each, enter once
+    unnorm = mpmath.matrix(
+        [[norms * (mpmath.mpc(x) * two.success_probability / norms) ** m for x in row]
+         for row in two.rho]
+    )
+    trace = sum(unnorm[i, i].real for i in range(4))
+    assert many.success_probability == 0.0
+    assert many.log_success_probability == pytest.approx(float(mpmath.log(trace)), rel=1e-12)
+    expected = np.array((unnorm / trace).tolist(), dtype=complex)
+    np.testing.assert_allclose(many.rho, expected, rtol=0.0, atol=1e-10)
 
 
 def test_heralded_state_contracts_each_distinct_bin_once(monkeypatch):
