@@ -21,10 +21,12 @@ section in one array call; the oracle evaluates point by point.
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
 parameters (the physicality margin is reported, never clamped), 3 request
 intractable for the oracle: an environment beyond 16 levels (nbar above
-about 0.57), or k > 1,023, from where no herald weight is a normal double
-(K0 < 2^(1 - k)); or an impossible herald: on the closed-form path only
-eta = 0 at pure loss (a K0 that underflows is not impossible), on the
-oracle path a weight that is 0 to rounding.
+about 0.57), or a herald (swap quantities; state fidelity has none) of
+k > 1,023 bins, where no herald weight is a normal double (K0 < 2^(1 - k));
+or an impossible herald: on the closed-form path only eta = 0 at pure loss
+(a K0 that underflows is not impossible), on the oracle path a weight 0 to
+rounding. Where only the oracle refuses, ``fidelity --method both`` prints
+the closed-form block and the oracle's one-line reason, and exits 3.
 Channel options on the command line are held to the same domains as sweep
 configs.
 
@@ -379,13 +381,9 @@ def _check_parameter_closure(section: SweepSection) -> list[str]:
 
 def _channel_for(params: dict[str, Any]) -> ChannelParams:
     if "zeta" in params:
-        tp = TransducerParams(
-            zeta_m=params["zeta"],
-            zeta_o=params["zeta"],
-            C=params["C"],
-            nth=params["nth"],
-        )
-        return transducer_to_channel(tp)
+        zeta = params["zeta"]
+        return transducer_to_channel(
+            TransducerParams(zeta_m=zeta, zeta_o=zeta, C=params["C"], nth=params["nth"]))
     if "N" in params:
         return ChannelParams(eta=params["eta"], N=params["N"])
     return ChannelParams.from_eta_nbar(params["eta"], params["nbar"])
@@ -452,7 +450,7 @@ def _swap_oracle(p: ChannelParams, q: dict[str, Any]) -> tuple[float, float]:
 def _oracle_optimal_k(p: ChannelParams, q: dict[str, Any]) -> tuple[int, float]:
     """Brute-force counterpart of analytic.optimal_k: scans heralded states up
     to the first k > 1 whose weight is below the smallest normal double (at
-    most states.MAX_BINS), then breaks ties by the same rule."""
+    most swap.MAX_BINS), then breaks ties by the same rule."""
     infidelities = []
     for k in range(1, _k_max(q) + 1):
         fid, log_k0 = _swap_oracle(p, {"k": k})
@@ -569,19 +567,14 @@ def run_sections(sections: Sequence[SweepSection]) -> list[tuple[str, str, str, 
 
 
 def _zeta_c_grid() -> tuple[SweepAxis, SweepAxis]:
-    return (
-        SweepAxis("zeta", _linspace(0.5, 1.0, 60)),
-        SweepAxis("C", _linspace(0.05, 2.0, 60)),
-    )
+    return SweepAxis("zeta", _linspace(0.5, 1.0, 60)), SweepAxis("C", _linspace(0.05, 2.0, 60))
 
 
 def preset_sections(name: str) -> list[SweepSection]:
     if name in ("fig2a", "fig2b"):
         zeta, c = _zeta_c_grid()
         k = 2 if name == "fig2a" else 4
-        return [
-            SweepSection("state_fidelity", zeta, c, {"nth": 0.1, "k": k}, "analytic")
-        ]
+        return [SweepSection("state_fidelity", zeta, c, {"nth": 0.1, "k": k}, "analytic")]
     if name == "fig4a":
         eta = SweepAxis("eta", _linspace(0.3, 1.0, 71))
         nbar = SweepAxis("nbar", _linspace(0.0, 0.3, 61))
@@ -595,9 +588,7 @@ def preset_sections(name: str) -> list[SweepSection]:
         return [SweepSection("swap_infidelity", k, eta, {"nbar": 0.1}, "analytic")]
     if name == "fig5a":
         zeta, c = _zeta_c_grid()
-        return [
-            SweepSection("swap_infidelity", zeta, c, {"nth": 0.1, "k": 1}, "analytic")
-        ]
+        return [SweepSection("swap_infidelity", zeta, c, {"nth": 0.1, "k": 1}, "analytic")]
     if name == "fig5b":
         zeta, c = _zeta_c_grid()
         fixed = {"nth": 0.1, "k_max": 16}
@@ -621,11 +612,7 @@ def write_sweep(sections: Sequence[SweepSection], out: Path) -> int:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
-    meta = {
-        "version": __version__,
-        "config_hash": config_hash(sections),
-        "tolerances": TOLERANCES,
-    }
+    meta = {"version": __version__, "config_hash": config_hash(sections), "tolerances": TOLERANCES}
     meta_path = out.with_suffix(".meta.json")
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return len(rows)
@@ -683,7 +670,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         raise CliError(f"{args.kind} fidelity has no closed form for n = 2; use --method oracle")
     params = _given(args)
     p = _channel_for(params)
-    blocks: dict[str, dict[str, float]] = {}
+    blocks: dict[str, dict[str, Any]] = {}
+    refusal = None
     for method in _methods(args.method):
         if method == "analytic":
             values, result = quantity.analytic(_points([p], [params]))
@@ -693,7 +681,13 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
                 block.update(infidelity=float(result.infidelity[0]), K0=float(result.K0[0]),
                              log_K0=float(result.log_K0[0]))
         else:
-            fid, log_k0 = quantity.oracle(p, params)
+            try:
+                fid, log_k0 = quantity.oracle(p, params)
+            except (TruncationError, ImpossibleEventError) as exc:
+                if args.method != "both":
+                    raise
+                refusal, blocks[method] = exc, {"refused": _refusal_text(exc)}  # exits 3 below
+                continue
             block = {"fidelity": fid, "infidelity": 1.0 - fid}
             if log_k0 is not None:
                 block.update(K0=math.exp(log_k0), log_K0=log_k0)
@@ -702,21 +696,26 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     base = {"kind": args.kind, "eta": p.eta, "N": p.N, "k": args.k, "n": args.n}
     where = f"eta = {_fmt(p.eta)}, N = {_fmt(p.N)}, k = {args.k}, n = {args.n}"
     if args.method == "both":
-        delta = abs(blocks["analytic"]["fidelity"] - blocks["oracle"]["fidelity"])
-        payload = {**base, "method": "both", **blocks, "delta": delta}
+        payload = {**base, "method": "both", **blocks}
         lines = [f"{args.kind} fidelity at {where}:"]
         lines += [f"  {method}: {_fidelity_text(block)}" for method, block in blocks.items()]
-        lines.append(f"  disagreement |delta F| = {_fmt(delta)}")
+        if refusal is None:
+            payload["delta"] = abs(blocks["analytic"]["fidelity"] - blocks["oracle"]["fidelity"])
+            lines.append(f"  disagreement |delta F| = {_fmt(payload['delta'])}")
         text = "\n".join(lines)
     else:
         block = blocks[args.method]
         payload = {**base, "method": args.method, **block}
         text = f"{args.kind} fidelity ({args.method}) at {where}: {_fidelity_text(block)}"
     _emit(args, payload, text)
+    if refusal is not None:
+        raise refusal
     return EXIT_OK
 
 
-def _fidelity_text(block: dict[str, float]) -> str:
+def _fidelity_text(block: dict[str, Any]) -> str:
+    if "refused" in block:
+        return block["refused"]
     extra = ""
     if "K0" in block:
         extra = f", K0 = {_fmt(block['K0'])} (log K0 = {_fmt(block['log_K0'])})"
@@ -735,23 +734,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise CliError(f"pattern entries must be integers: {exc}") from exc
     if any(count < 0 for count in counts):
         raise CliError("pattern entries must be non-negative")
-    pattern = DetectionPattern(
-        k=args.k,
-        counts=tuple((counts[2 * i], counts[2 * i + 1]) for i in range(args.k)),
-    )
-    if args.n == 1:
-        label = classify_single_photon(pattern)
-    else:
-        label = classify_two_photon(pattern)
+    pattern = DetectionPattern(k=args.k, counts=tuple(zip(counts[::2], counts[1::2])))
+    label = (classify_single_photon if args.n == 1 else classify_two_photon)(pattern)
     payload: dict[str, Any] = {"class": label.value, "k": args.k, "n": args.n,
                                "pattern": counts}
+    text = label.value
     single = all(a + b == 1 for a, b in pattern.counts)
     if label in (HeraldClass.PhiPlus, HeraldClass.PhiMinus) and single:
         p1, p2 = parity_trace(pattern)
         payload["parity"] = [p1, p2]
-    text = label.value
-    if "parity" in payload:
-        text += f" (parity trace P1 = {payload['parity'][0]:+d}, P2 = {payload['parity'][1]:+d})"
+        text += f" (parity trace P1 = {p1:+d}, P2 = {p2:+d})"
     _emit(args, payload, text)
     return EXIT_OK
 
@@ -759,14 +751,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_optimal_k(args: argparse.Namespace) -> int:
     p = _channel_for(_given(args))
     best_k, infidelity = optimal_k(p, args.k_max)
-    payload = {
-        "eta": p.eta,
-        "N": p.N,
-        "k_max": args.k_max,
-        "k_star": best_k,
-        "infidelity": infidelity,
-        "fidelity": 1.0 - infidelity,
-    }
+    payload = {"eta": p.eta, "N": p.N, "k_max": args.k_max, "k_star": best_k,
+               "infidelity": infidelity, "fidelity": 1.0 - infidelity}
     _emit(args, payload, f"k* = {best_k} (infidelity = {_fmt(infidelity)}) at eta = "
                          f"{_fmt(p.eta)}, N = {_fmt(p.N)}, scanned k = 1..{args.k_max}")
     return EXIT_OK
@@ -793,12 +779,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         assert section is not None
         sections = [section]
-        if args.out:
-            out = Path(args.out)
-        elif config_out:
-            out = Path(config_out)
-        else:
+        if not (args.out or config_out):
             raise CliError("no output path: set 'out' in the config or pass --out")
+        out = Path(args.out or config_out)
     count = write_sweep(sections, out)
     summary = {
         "rows": count,
@@ -882,6 +865,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusal_text(exc: TruncationError | ImpossibleEventError) -> str:
+    """The one line that reports an exit-3 refusal."""
+    impossible = isinstance(exc, ImpossibleEventError)
+    return f"{'impossible herald' if impossible else 'intractable for the brute-force path'}: {exc}"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -896,11 +885,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TruncationError as exc:
-        print(f"intractable for the brute-force path: {exc}", file=sys.stderr)
-        return EXIT_INTRACTABLE
-    except ImpossibleEventError as exc:
-        print(f"impossible herald: {exc}", file=sys.stderr)
+    except (TruncationError, ImpossibleEventError) as exc:
+        print(_refusal_text(exc), file=sys.stderr)
         return EXIT_INTRACTABLE
 
 

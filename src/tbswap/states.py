@@ -7,10 +7,10 @@ The protocol's states pair a transmon qubit with photonic time bins:
 
 Bins 0, 2, 4, ... (0-based) carry the photons in the |g> branch, bins
 1, 3, 5, ... in the |e> branch. Everything downstream factorizes over bins,
-so a state is stored as one (2, 2, d, d) array per bin (HybridDensity)
-rather than as a full 2 * d^k tensor. An odd bin is the even bin with the
-two qubit labels swapped, so a state holds two objects whatever k is: the
-even-bin array and its view [::-1, ::-1].
+and an odd bin is the even bin with the two qubit labels swapped. So a
+state (HybridDensity) is k and one (2, 2, d, d) array, the even bin; the odd
+bins are its view [::-1, ::-1]. Nothing in a state grows with k, and a full
+2 * d^k tensor is built only on request, for small-k checks.
 
 The transfer fidelity here is the brute-force one: oracle channel images
 contracted against the ideal state. Its closed form lives in module
@@ -26,21 +26,12 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .channel import ChannelParams, apply_channel_oracle
-from .fock import ModeOperator, MultiModeOperator, TruncationConfig, TruncationError, fock_vector
+from .fock import ModeOperator, MultiModeOperator, TruncationConfig, fock_vector
 
 GROUND, EXCITED = 0, 1
 
-# The canonical herald of k bins weighs K0 < 2^(1 - k): from this k on, no
-# normal double (2^-1022 is the smallest). Scans over k stop by then, by the
-# rule of analytic.optimal_k, and the oracle builds no longer encoding.
-MAX_BINS = 1023
-
-
-def check_bins(k: int) -> None:
-    """Raise TruncationError past MAX_BINS bins, before anything of size k is built."""
-    if k > MAX_BINS:
-        raise TruncationError(f"k = {k} bins: from k = {MAX_BINS} on no herald weight is a "
-                              f"normal double (K0 < 2^(1 - k)); the oracle stops there")
+# The weight of |g><g|, |e><e|, |g><e| and |e><g| in every state here.
+NORM = 0.5
 
 
 @dataclass(frozen=True)
@@ -68,29 +59,42 @@ class HybridDensity:
 
     The represented operator is
 
-        rho = norm * sum_{q,q'} |q><q'| (x) B_1[q,q'] (x) ... (x) B_k[q,q']
+        rho = NORM * sum_{q,q'} |q><q'| (x) B_1[q,q'] (x) ... (x) B_k[q,q']
 
-    with q, q' in {GROUND, EXCITED}. blocks[i] is a complex array of shape
-    (2, 2, d, d) and blocks[i][q, q'] the d x d operator of bin i (0-based).
-    The states built here share one read-only array between all even bins
-    and one view of it between all odd bins; norm is 1/2 for them.
+    with q, q' in {GROUND, EXCITED}, where B_i = bin(i - 1) is `even` for the
+    even bins (0-based) and its qubit-swapped view even[::-1, ::-1] for the
+    odd ones. `even` is one read-only (2, 2, d, d) array; even[q, q']
+    is a d x d operator. Nothing stored grows with k.
     """
 
     k: int
-    blocks: tuple[np.ndarray, ...]
-    norm: float = 0.5
+    even: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.blocks) != self.k:
-            raise ValueError(f"expected {self.k} bins of blocks, got {len(self.blocks)}")
-        shapes = {b.shape for b in self.blocks}
-        d = self.blocks[0].shape[-1] if self.blocks else 0
-        if shapes != {(2, 2, d, d)}:
-            raise ValueError(f"bins must share one (2, 2, d, d) shape, got {sorted(shapes)}")
+        even = np.asarray(self.even)
+        d = even.shape[-1] if even.ndim else 0
+        if self.k < 1 or even.shape != (2, 2, d, d):
+            raise ValueError(f"need k >= 1 bins and a (2, 2, d, d) even bin, "
+                             f"got k = {self.k} and shape {even.shape}")
+        if even.flags.writeable:
+            even = even.copy()
+            even.flags.writeable = False
+        object.__setattr__(self, "even", even)
 
     @property
     def bin_dim(self) -> int:
-        return self.blocks[0].shape[-1]
+        return self.even.shape[-1]
+
+    def bin(self, i: int) -> np.ndarray:
+        """The (2, 2, d, d) array of bin i (0-based)."""
+        if not 0 <= i < self.k:
+            raise IndexError(f"bin {i} of a {self.k}-bin state")
+        return self.even[::-1, ::-1] if i % 2 else self.even
+
+    def _per_parity(self, per_bin: np.ndarray) -> np.ndarray:
+        """prod_i of a 2x2 array over the bins, given its even-bin value:
+        the odd bins contribute its qubit-swapped value."""
+        return per_bin ** ((self.k + 1) // 2) * per_bin[::-1, ::-1] ** (self.k // 2)
 
     def assemble_full(self) -> MultiModeOperator:
         """Explicit (2, d, ..., d) tensor; exponential in k, use for k <= 3 checks."""
@@ -101,59 +105,51 @@ class HybridDensity:
             for qp in (GROUND, EXCITED):
                 qubit = np.zeros((2, 2), dtype=complex)
                 qubit[q, qp] = 1.0
-                out += reduce(np.kron, [b[q, qp] for b in self.blocks], qubit)
-        return MultiModeOperator((2,) + (d,) * self.k, self.norm * out)
+                out += reduce(np.kron, [self.bin(i)[q, qp] for i in range(self.k)], qubit)
+        return MultiModeOperator((2,) + (d,) * self.k, NORM * out)
 
     def qubit_reduced(self) -> np.ndarray:
         """2x2 reduced state of the qubit (photonic modes traced out)."""
-        out = np.full((2, 2), self.norm, dtype=complex)
-        for b in self.blocks:
-            out *= np.trace(b, axis1=2, axis2=3)
-        return out
+        return NORM * self._per_parity(np.trace(self.even, axis1=2, axis2=3))
 
     def contract(self, other: "HybridDensity") -> float:
         """Tr(self * other), using the per-bin factorization.
 
         Tr of a block product telescopes bin by bin:
-        norm_a * norm_b * sum_{q,q'} prod_i Tr(A_i[q,q'] B_i[q',q]).
-        Blocks of different dimensions are contracted on the common corner
+        NORM^2 * sum_{q,q'} prod_i Tr(A_i[q,q'] B_i[q',q]). On the even bins
+        the factor is E[q, q'] = Tr(A[q,q'] B[q',q]) of the two even arrays,
+        on the odd bins E[1 - q, 1 - q'], so the product is two powers.
+        Bins of different dimensions are contracted on the common corner
         (the smaller operator is implicitly zero-padded).
         """
         if other.k != self.k:
             raise ValueError(f"bin count mismatch: {self.k} vs {other.k}")
         m = min(self.bin_dim, other.bin_dim)
-        a = np.stack(self.blocks)[..., :m, :m]
-        b = np.stack(other.blocks)[..., :m, :m]
-        prod = np.einsum("iqpmn,ipqnm->iqp", a, b).prod(axis=0)
-        return float((self.norm * other.norm * prod.sum()).real)
+        per_bin = np.einsum("qpmn,pqnm->qp", self.even[..., :m, :m], other.even[..., :m, :m])
+        return float((NORM * NORM * self._per_parity(per_bin).sum()).real)
 
 
+@lru_cache(maxsize=16)
 def _even_bin_ops(n: int, d: int) -> np.ndarray:
-    """|v_q><v_q'| for the even bins, where v_GROUND = |n> and v_EXCITED = |0>."""
+    """|v_q><v_q'| for the even bins, where v_GROUND = |n> and v_EXCITED = |0>;
+    read-only, and cached, as a run sees few (n, d) pairs."""
     vecs = np.array([fock_vector(n, d), fock_vector(0, d)])
     ops = np.einsum("qm,pn->qpmn", vecs, vecs.conj())
     ops.flags.writeable = False
     return ops
 
 
-def _alternating(k: int, even: np.ndarray) -> HybridDensity:
-    """k bins: `even` in the even ones, its qubit-swapped view in the odd ones."""
-    odd = even[::-1, ::-1]
-    return HybridDensity(k=k, blocks=tuple(odd if i % 2 else even for i in range(k)))
-
-
-@lru_cache(maxsize=128)
 def ideal_state(spec: QubitTimeBinSpec, d: int | None = None) -> HybridDensity:
     """The pure encoded state |psi_k><psi_k| in hybrid per-bin form.
 
     d is the per-bin Fock dimension; default n + 1, the smallest that holds
-    the encoding. Cached (bounded); the returned state is immutable.
+    the encoding. The returned state is immutable.
     """
     if d is None:
         d = spec.n + 1
     if d < spec.n + 1:
         raise ValueError(f"dimension {d} cannot hold {spec.n} photons")
-    return _alternating(spec.k, _even_bin_ops(spec.n, d))
+    return HybridDensity(spec.k, _even_bin_ops(spec.n, d))
 
 
 @lru_cache(maxsize=128)
@@ -182,18 +178,17 @@ def channel_output(
 
     Linearity of the channel lets each per-bin block be mapped
     independently; only four distinct single-mode images are ever needed
-    (|n><n|, |0><0|, |n><0|, |0><n|), whatever k is. They are cached per
-    (n, channel, truncation) in a bounded cache, so calls that differ only
-    in k reuse them, and every bin shares them. More than MAX_BINS bins
-    raise TruncationError.
+    (|n><n|, |0><0|, |n><0|, |0><n|), whatever k is. They are the output's
+    even bin, cached per (n, channel, truncation) in a bounded cache, so
+    calls that differ only in k reuse them. Time and memory do not depend
+    on k.
     """
-    check_bins(spec.k)
     if cfg.d_sys < spec.n + 2:
         raise ValueError(
             f"d_sys = {cfg.d_sys} leaves no headroom above the {spec.n}-photon encoding; "
             f"need at least {spec.n + 2}"
         )
-    return _alternating(spec.k, _channel_images(spec.n, p, cfg))
+    return HybridDensity(spec.k, _channel_images(spec.n, p, cfg))
 
 
 def state_fidelity_oracle(

@@ -15,9 +15,9 @@ table lookup.
 heralded_state computes the conditional two-qubit state for any pattern by
 brute force. Both the channel outputs and the measurement factorize over
 bins: each bin contributes a 16-component trace tensor, and the
-unnormalized 4x4 qubit matrix is their element-wise product. A state's bins
-are one (2, 2, d, d) array for the even bins and its qubit-swapped view
-for the odd ones, so a bin's tensor depends only on its parity and its
+unnormalized 4x4 qubit matrix is their element-wise product. A state holds
+one (2, 2, d, d) array for the even bins, and the odd ones are its
+qubit-swapped view, so a bin's tensor depends only on its parity and its
 counts. Each distinct (bin parity, counts) pair is contracted once (two for
 the canonical pattern), and k enters only through counting them. No 2k-mode
 tensor is ever assembled.
@@ -45,9 +45,14 @@ from .fock import (
     number_projector,
     tensor,
 )
-from .states import HybridDensity, QubitTimeBinSpec, channel_output, check_bins
+from .states import NORM, QubitTimeBinSpec, channel_output
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+# The canonical herald of k bins weighs K0 < 2^(1 - k): from this k on, no
+# normal double (2^-1022 is the smallest). Scans over k stop by then, by the
+# rule of analytic.optimal_k, and the oracle heralds no longer encoding.
+MAX_BINS = 1023
 
 # Two-qubit basis order used for all 4x4 matrices: |gg>, |ge>, |eg>, |ee>.
 PHI_PLUS = np.array([0.0, SQRT_HALF, SQRT_HALF, 0.0])
@@ -59,6 +64,13 @@ PSI_MINUS = np.array([SQRT_HALF, 0.0, 0.0, -SQRT_HALF])
 # qubit branch. On that scale a weight within rounding of 0 is 0; one that
 # should vanish comes out near 1e-32, the square of a rounding error.
 ZERO_WEIGHT = sys.float_info.epsilon
+
+
+def check_bins(k: int) -> None:
+    """Raise TruncationError past MAX_BINS bins, before a herald of k bins is built."""
+    if k > MAX_BINS:
+        raise TruncationError(f"k = {k} bins: from k = {MAX_BINS} on no herald weight is a "
+                              f"normal double (K0 < 2^(1 - k)); the oracle stops there")
 
 
 class HeraldClass(Enum):
@@ -86,7 +98,7 @@ class DetectionPattern:
     @classmethod
     def canonical(cls, k: int) -> "DetectionPattern":
         """The reference herald |1010...>: one photon at port A in every bin;
-        more than states.MAX_BINS bins raise TruncationError."""
+        more than MAX_BINS bins raise TruncationError."""
         check_bins(k)
         return cls(k=k, counts=((1, 0),) * k)
 
@@ -168,20 +180,16 @@ class HeraldedState:
 
     rho is 4x4 over {gg, ge, eg, ee}; success_probability is the pattern's
     probability (the trace before normalization) and log_success_probability
-    its logarithm, finite where the probability underflows (derived from the
-    probability when not given); fidelity_phi_plus is <Phi+|rho|Phi+>.
+    its logarithm, finite where the probability underflows;
+    fidelity_phi_plus is <Phi+|rho|Phi+>.
     """
 
     rho: np.ndarray
     success_probability: float
     fidelity_phi_plus: float
-    log_success_probability: float | None = None
+    log_success_probability: float
 
     def __post_init__(self) -> None:
-        if self.log_success_probability is None:
-            weight = self.success_probability
-            log = math.log(weight) if weight > 0.0 else -math.inf
-            object.__setattr__(self, "log_success_probability", log)
         arr = np.asarray(self.rho, dtype=complex)
         if arr.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {arr.shape}")
@@ -203,12 +211,10 @@ def _measurement_kernel(counts: tuple[int, int], d: int) -> np.ndarray:
     return kernel
 
 
-def _bin_trace_tensor(
-    blocks_a: HybridDensity, blocks_b: HybridDensity, i: int, counts: tuple[int, int], d: int
-) -> np.ndarray:
+def _bin_trace_tensor(x: np.ndarray, y: np.ndarray, counts: tuple[int, int]) -> np.ndarray:
     """Per-bin contribution T[qA, qA', qB, qB'] = Tr[(X (x) Y) M].
 
-    X = blocks_a.blocks[i] and Y = blocks_b.blocks[i], each (2, 2, d, d).
+    X = x and Y = y are the two sides' arrays of one bin, each (2, 2, d, d).
     M = U+ |a b><a b| U is the measurement element of this bin; the trace is
     evaluated through the projected vector w = U+|a b> instead of assembling
     M, so nothing bigger than d^2 x d^2 appears:
@@ -216,8 +222,9 @@ def _bin_trace_tensor(
     which is vec(X) G vec(Y) with the kernel G of _measurement_kernel: two
     matmuls over the four X blocks and the four Y blocks.
     """
-    X = blocks_a.blocks[i].reshape(4, d * d)
-    Y = blocks_b.blocks[i].reshape(4, d * d)
+    d = x.shape[-1]
+    X = x.reshape(4, d * d)
+    Y = y.reshape(4, d * d)
     return (X @ _measurement_kernel(counts, d) @ Y.T).reshape(2, 2, 2, 2)
 
 
@@ -241,10 +248,11 @@ def heralded_state(
     Cost: one trace tensor per distinct (bin parity, counts) pair (two for
     the canonical pattern, at most four for any one-photon-per-bin
     pattern), and O(k) only in counting them; the channel images come from
-    channel_output's cache.
+    channel_output's cache. More than MAX_BINS bins raise TruncationError.
     """
     if pattern.k != spec.k:
         raise ValueError(f"pattern has {pattern.k} bins, encoding has {spec.k}")
+    check_bins(pattern.k)
     d = cfg.d_sys
     highest = max(max(a, b) for a, b in pattern.counts)
     if highest >= d:
@@ -254,10 +262,10 @@ def heralded_state(
     out_a = channel_output(spec, p_A, cfg)
     out_b = out_a if p_B == p_A else channel_output(spec, p_B, cfg)
 
-    # On both sides every bin of one parity holds the same blocks, so a bin's
+    # On both sides every bin of one parity holds the same array, so a bin's
     # parity and counts fix its tensor. Rows and columns over (qA, qB).
     bins = Counter((i % 2, counts) for i, counts in enumerate(pattern.counts))
-    tensors = np.array([_bin_trace_tensor(out_a, out_b, i, c, d) for i, c in bins])
+    tensors = np.array([_bin_trace_tensor(out_a.bin(i), out_b.bin(i), c) for i, c in bins])
     tensors = tensors.transpose(0, 1, 3, 2, 4).reshape(-1, 16)
     zero = np.abs(tensors) <= ZERO_WEIGHT
     log_unnorm = np.fromiter(bins.values(), float) @ np.log(np.where(zero, 1.0, tensors))
@@ -273,7 +281,7 @@ def heralded_state(
     trace = unnorm.trace().real  # in [1, 4]
     rho = (unnorm + unnorm.conj().T) / (2.0 * trace)  # scrub roundoff asymmetry
     fid = float((PHI_PLUS @ rho @ PHI_PLUS).real)
-    log_success = top + math.log(trace * out_a.norm * out_b.norm)
+    log_success = top + math.log(trace * NORM * NORM)
     return HeraldedState(rho=rho, success_probability=math.exp(log_success),
                          fidelity_phi_plus=fid, log_success_probability=log_success)
 

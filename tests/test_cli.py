@@ -188,7 +188,9 @@ bin_count = st.integers(min_value=-2, max_value=10_000) | st.sampled_from(
 def test_fidelity_and_optimal_k_property_typed_outcome(command, eta, noise, k, n, method):
     """Any float for the channel, any bin count: exit 0 with strict JSON and
     fidelities in [0, 1], or a documented error code with one stderr line;
-    never an uncaught exception."""
+    never an uncaught exception. Where only the oracle of --method both
+    refuses, stdout still holds the closed-form block, with that line in
+    place of the oracle's block."""
     channel = [f"--eta={eta!r}", f"{noise[0]}={noise[1]!r}"]
     if command == "optimal-k":
         argv = ["optimal-k", *channel, f"--k-max={k}", "--json"]
@@ -200,8 +202,12 @@ def test_fidelity_and_optimal_k_property_typed_outcome(command, eta, noise, k, n
         code = main(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNPHYSICAL, EXIT_INTRACTABLE)
     if code != EXIT_OK:
-        assert out.getvalue() == ""
         assert len(err.getvalue().strip().splitlines()) == 1
+        if out.getvalue():
+            assert code == EXIT_INTRACTABLE and command != "optimal-k" and method == "both"
+            doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert doc["oracle"] == {"refused": err.getvalue().strip()}
+            assert 0.0 <= doc["analytic"]["fidelity"] <= 1.0 + 1e-12
         return
     assert err.getvalue() == ""
     doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
@@ -327,15 +333,38 @@ def test_fidelity_oracle_refuses_more_bins_than_a_normal_weight_allows(capsys):
 
 def test_fidelity_truncation_refusal_exits_intractable(capsys):
     # nbar = 1.0 needs more environment levels than the oracle's ceiling of 16
-    # to bring the thermal tail under tail_tol
+    # to bring the thermal tail under tail_tol; the closed form still prints
     code, out, err = run_cli(
         capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "1.0", "--k", "2",
         "--method", "both",
     )
     assert code == EXIT_INTRACTABLE
-    assert out == ""
+    assert "  analytic: fidelity = 0.349440188568" in out
+    assert f"  oracle: {err.strip()}" in out
+    assert "delta" not in out
     assert "tail mass" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_fidelity_both_keeps_closed_form_when_only_the_oracle_refuses(capsys):
+    # eta 1e-20 at pure loss: K0 is 1.25e-41, not 0, so the closed form gives
+    # F = 1; the oracle's herald weight is 0 to rounding
+    argv = ("fidelity", "swap", "--eta", "1e-20", "--nbar", "0", "--k", "2", "--method", "both")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INTRACTABLE
+    reason = err.strip()
+    assert reason.startswith("impossible herald:") and len(err.strip().splitlines()) == 1
+    assert out.splitlines()[1:] == [
+        "  analytic: fidelity = 1, infidelity = 0, K0 = 1.25e-41 (log K0 = -94.1828452614)",
+        f"  oracle: {reason}",
+    ]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_INTRACTABLE
+    doc = json.loads(out)
+    assert doc["analytic"]["fidelity"] == 1.0
+    assert doc["analytic"]["K0"] == pytest.approx(1.25e-41, rel=1e-12)
+    assert doc["oracle"] == {"refused": err.strip()}
+    assert "delta" not in doc
 
 
 def test_fidelity_impossible_herald_exits_intractable(capsys):

@@ -2,6 +2,7 @@
 transfer-fidelity routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tbswap.fock import TruncationConfig, fock_state
 from tbswap.states import (
     EXCITED,
     GROUND,
+    NORM,
     HybridDensity,
     QubitTimeBinSpec,
     channel_output,
@@ -69,7 +71,7 @@ def test_ideal_state_alternating_occupation():
     one = fock_state(1, psi.bin_dim).entries
     zero = fock_state(0, psi.bin_dim).entries
     for i in range(4):
-        g_block = psi.blocks[i][GROUND, GROUND]
+        g_block = psi.bin(i)[GROUND, GROUND]
         want = one if i % 2 == 0 else zero
         np.testing.assert_allclose(g_block, want, atol=1e-15)
 
@@ -99,7 +101,7 @@ def test_ideal_state_dimension_override():
 def test_hybrid_density_validation():
     psi = ideal_state(QubitTimeBinSpec(k=2))
     with pytest.raises(ValueError):
-        HybridDensity(k=3, blocks=psi.blocks)
+        HybridDensity(k=3, even=psi.even[0])
 
 
 def test_channel_output_identity_reproduces_ideal():
@@ -111,8 +113,8 @@ def test_channel_output_identity_reproduces_ideal():
         for q in (GROUND, EXCITED):
             for qp in (GROUND, EXCITED):
                 np.testing.assert_allclose(
-                    out.blocks[i][q, qp],
-                    want.blocks[i][q, qp],
+                    out.bin(i)[q, qp],
+                    want.bin(i)[q, qp],
                     atol=1e-12,
                 )
 
@@ -122,11 +124,11 @@ def test_channel_output_pure_loss_coherence_scaling():
     eta = 0.64
     cfg = TruncationConfig.for_encoding(1)
     out = channel_output(QubitTimeBinSpec(k=2), ChannelParams.from_eta_nbar(eta, 0.0), cfg)
-    coh = out.blocks[0][GROUND, EXCITED]
+    coh = out.bin(0)[GROUND, EXCITED]
     want = np.zeros((cfg.d_sys, cfg.d_sys), dtype=complex)
     want[1, 0] = math.sqrt(eta)
     np.testing.assert_allclose(coh, want, atol=1e-12)
-    pop = out.blocks[0][GROUND, GROUND]
+    pop = out.bin(0)[GROUND, GROUND]
     assert pop[1, 1].real == pytest.approx(eta, abs=1e-12)
     assert pop[0, 0].real == pytest.approx(1.0 - eta, abs=1e-12)
 
@@ -162,8 +164,8 @@ def test_channel_output_two_photon_blocks():
     out = channel_output(QubitTimeBinSpec(k=2, n=2), p, cfg)
     src = ModeOperator(3, np.outer(fock_vector(2, 3), fock_vector(2, 3).conj()))
     want = apply_channel_oracle(src, p, cfg)
-    np.testing.assert_allclose(out.blocks[0][GROUND, GROUND], want.entries, atol=1e-12)
-    assert out.blocks[0][GROUND, GROUND][2, 2].real == pytest.approx(
+    np.testing.assert_allclose(out.bin(0)[GROUND, GROUND], want.entries, atol=1e-12)
+    assert out.bin(0)[GROUND, GROUND][2, 2].real == pytest.approx(
         p.eta**2, abs=0.05
     )
 
@@ -333,26 +335,26 @@ def contract_reference(a, b):
         for qp in (GROUND, EXCITED):
             prod = 1.0 + 0.0j
             for i in range(a.k):
-                x, y = a.blocks[i][q, qp], b.blocks[i][qp, q]
+                x, y = a.bin(i)[q, qp], b.bin(i)[qp, q]
                 m = min(x.shape[0], y.shape[0])
                 prod *= np.trace(x[:m, :m] @ y[:m, :m])
             total += prod
-    return float((a.norm * b.norm * total).real)
+    return float((NORM * NORM * total).real)
+
+
+def random_bin(rng, d):
+    return rng.standard_normal((2, 2, d, d)) + 1j * rng.standard_normal((2, 2, d, d))
 
 
 def test_contract_of_shared_bins_matches_per_bin_loop():
-    """Bins that recur as the same array and distinct bins alike give the
-    per-bin loop's value."""
+    """Random non-Hermitian even bins at every k from 1 to 7, and channel
+    outputs, give the value of the loop over bin(i)."""
     rng = np.random.default_rng(1313)
-
-    def random_bin(d):
-        return rng.standard_normal((2, 2, d, d)) + 1j * rng.standard_normal((2, 2, d, d))
-
-    odd, even, lone = random_bin(4), random_bin(4), random_bin(4)
-    a = HybridDensity(k=5, blocks=(odd, even, odd, lone, odd))
-    b = HybridDensity(k=5, blocks=tuple(random_bin(3) for _ in range(5)))
-    for x, y in ((a, b), (b, a), (a, a)):
-        assert x.contract(y) == pytest.approx(contract_reference(x, y), rel=1e-13)
+    for k in range(1, 8):
+        a = HybridDensity(k=k, even=random_bin(rng, 4))
+        b = HybridDensity(k=k, even=random_bin(rng, 3))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert x.contract(y) == pytest.approx(contract_reference(x, y), rel=1e-13)
     cfg = TruncationConfig.for_encoding(1)
     p = ChannelParams.from_eta_nbar(0.7, 0.1)
     for k in range(1, 7):
@@ -361,6 +363,35 @@ def test_contract_of_shared_bins_matches_per_bin_loop():
         assert out.contract(ideal_state(spec)) == pytest.approx(
             contract_reference(out, ideal_state(spec)), rel=1e-13
         )
+
+
+def test_state_fidelity_oracle_has_no_bin_limit():
+    """A state carries no herald weight: past 1,023 bins the oracle still
+    agrees with the closed form."""
+    spec = QubitTimeBinSpec(k=2000)
+    p = ChannelParams.from_eta_nbar(0.999, 0.001)
+    cfg = TruncationConfig.for_encoding(1)
+    assert state_fidelity_oracle(spec, p, cfg) == pytest.approx(
+        state_fidelity_analytic(spec, p), abs=PATH_EQUIVALENCE_TOL
+    )
+
+
+def test_channel_output_memory_does_not_grow_with_k():
+    """At k = 10^9 a state and its fidelity hold nothing of size k."""
+    p = ChannelParams.from_eta_nbar(0.7, 0.1)
+    cfg = TruncationConfig.for_encoding(1)
+    channel_output(QubitTimeBinSpec(k=1), p, cfg)  # computes the cached images
+    spec = QubitTimeBinSpec(k=10**9)
+    tracemalloc.start()
+    try:
+        out = channel_output(spec, p, cfg)
+        fidelity = out.contract(ideal_state(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.k == spec.k
+    assert 0.0 <= fidelity < 1e-12
+    assert peak < 2**20
 
 
 def count_oracle_calls(monkeypatch):
@@ -409,22 +440,22 @@ def test_channel_image_and_ideal_state_caches_are_bounded():
     for eta in np.linspace(0.01, 0.99, maxsize + 5):
         states_module._channel_images(1, ChannelParams.from_eta_nbar(float(eta), 0.05), cfg)
     assert states_module._channel_images.cache_info().currsize <= maxsize
-    maxsize = ideal_state.cache_parameters()["maxsize"]
+    maxsize = states_module._even_bin_ops.cache_parameters()["maxsize"]
     assert maxsize is not None
-    for k in range(1, maxsize + 6):
-        ideal_state(QubitTimeBinSpec(k=k))
-    assert ideal_state.cache_info().currsize <= maxsize
+    for d in range(2, maxsize + 7):
+        ideal_state(QubitTimeBinSpec(k=1), d=d)
+    assert states_module._even_bin_ops.cache_info().currsize <= maxsize
 
 
 def test_states_hold_one_even_bin_and_its_swapped_view():
-    """Every even bin is the same array and every odd bin the same view of
+    """Every even bin is the same array and every odd bin a view of
     it with the qubit labels swapped, for the ideal state and the channel output."""
     cfg = TruncationConfig.for_encoding(1)
     spec = QubitTimeBinSpec(k=5)
     for state in (ideal_state(spec), channel_output(spec, ChannelParams.from_eta_nbar(0.7, 0.1), cfg)):
-        even, odd = state.blocks[0], state.blocks[1]
-        assert all(b is (odd if i % 2 else even) for i, b in enumerate(state.blocks))
-        assert odd.base is even
+        even, odd = state.even, state.bin(1)
+        assert all(state.bin(i) is even for i in range(0, spec.k, 2))
+        assert all(state.bin(i).base is even for i in range(1, spec.k, 2))
         np.testing.assert_array_equal(odd, even[::-1, ::-1])
 
 
@@ -437,6 +468,6 @@ def test_cached_images_are_read_only():
         images[0, 0, 0, 0] = 1.0
     out = channel_output(QubitTimeBinSpec(k=2), p, cfg)
     with pytest.raises(ValueError):
-        out.blocks[1][EXCITED, GROUND][1, 0] = 1.0
+        out.bin(1)[EXCITED, GROUND][1, 0] = 1.0
     with pytest.raises(ValueError):
-        ideal_state(QubitTimeBinSpec(k=2)).blocks[0][GROUND, GROUND][1, 1] = 0.0
+        ideal_state(QubitTimeBinSpec(k=2)).bin(0)[GROUND, GROUND][1, 1] = 0.0

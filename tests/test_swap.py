@@ -26,7 +26,7 @@ from tbswap.fock import (
     beam_splitter_unitary,
     characteristic_function_joint,
 )
-from tbswap.states import EXCITED, GROUND, HybridDensity, QubitTimeBinSpec, channel_output
+from tbswap.states import EXCITED, GROUND, NORM, HybridDensity, QubitTimeBinSpec, channel_output
 from tbswap.swap import (
     PHI_MINUS,
     PHI_PLUS,
@@ -410,9 +410,18 @@ def test_heralded_state_pattern_shape_checks():
         )
 
 
+def test_heralded_state_refuses_more_bins_than_a_normal_weight_allows():
+    """The bin limit holds in heralded_state itself, not only in canonical."""
+    pattern = DetectionPattern(k=1024, counts=((1, 0),) * 1024)
+    with pytest.raises(TruncationError, match="1023"):
+        heralded_state(IDENT, IDENT, QubitTimeBinSpec(k=1024), pattern,
+                       TruncationConfig.for_encoding(1))
+
+
 def test_heralded_state_rho_immutable():
     out = HeraldedState(
-        rho=np.outer(PHI_PLUS, PHI_PLUS), success_probability=0.125, fidelity_phi_plus=1.0
+        rho=np.outer(PHI_PLUS, PHI_PLUS), success_probability=0.125, fidelity_phi_plus=1.0,
+        log_success_probability=math.log(0.125),
     )
     with pytest.raises(ValueError):
         out.rho[0, 0] = 1.0
@@ -475,10 +484,10 @@ def bin_trace_tensor_reference(blocks_a, blocks_b, i, counts, d):
     T = np.empty((2, 2, 2, 2), dtype=complex)
     for qa in (GROUND, EXCITED):
         for qap in (GROUND, EXCITED):
-            X = blocks_a.blocks[i][qa, qap]
+            X = blocks_a.bin(i)[qa, qap]
             for qb in (GROUND, EXCITED):
                 for qbp in (GROUND, EXCITED):
-                    Y = blocks_b.blocks[i][qb, qbp]
+                    Y = blocks_b.bin(i)[qb, qbp]
                     T[qa, qap, qb, qbp] = np.einsum("mp,mn,pq,nq->", W.conj(), X, Y, W)
     return T
 
@@ -489,7 +498,7 @@ def heralded_reference(p_a, p_b, spec, pattern, cfg):
     prod = np.ones((2, 2, 2, 2), dtype=complex)
     for i, counts in enumerate(pattern.counts):
         prod *= bin_trace_tensor_reference(out_a, out_b, i, counts, cfg.d_sys)
-    unnorm = prod.transpose(0, 2, 1, 3).reshape(4, 4) * out_a.norm * out_b.norm
+    unnorm = prod.transpose(0, 2, 1, 3).reshape(4, 4) * NORM * NORM
     success = np.trace(unnorm).real
     rho = unnorm / success
     return (rho + rho.conj().T) / 2.0, success
@@ -498,7 +507,7 @@ def heralded_reference(p_a, p_b, spec, pattern, cfg):
 def random_bin_state(rng, d):
     """One-bin HybridDensity of random non-Hermitian d x d blocks."""
     shape = (2, 2, d, d)
-    return HybridDensity(k=1, blocks=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),))
+    return HybridDensity(k=1, even=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -507,7 +516,7 @@ def test_bin_trace_tensor_matches_einsum_reference(d):
     for counts in itertools.product(range(d), repeat=2):
         a, b = random_bin_state(rng, d), random_bin_state(rng, d)
         np.testing.assert_allclose(
-            swap_module._bin_trace_tensor(a, b, 0, counts, d),
+            swap_module._bin_trace_tensor(a.even, b.even, counts),
             bin_trace_tensor_reference(a, b, 0, counts, d),
             rtol=0.0,
             atol=CONTRACTION_TOL,
@@ -565,9 +574,9 @@ def test_heralded_state_contracts_each_distinct_bin_once(monkeypatch):
     calls = []
     real = swap_module._bin_trace_tensor
 
-    def counting(blocks_a, blocks_b, i, counts, d):
-        calls.append((i % 2, counts))
-        return real(blocks_a, blocks_b, i, counts, d)
+    def counting(x, y, counts):
+        calls.append((int(x.strides[0] < 0), counts))  # odd bins: the reversed view
+        return real(x, y, counts)
 
     monkeypatch.setattr(swap_module, "_bin_trace_tensor", counting)
     cfg = TruncationConfig.for_encoding(1)
