@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.constants import h as PLANCK
@@ -33,8 +33,8 @@ from .fock import (
     ModeOperator,
     TruncationConfig,
     TruncationError,
-    thermal_state,
     thermal_tail_mass,
+    thermal_weights,
 )
 
 # Not called here; benchmarks/tracing.py hooks these names for declared metrics (now 0).
@@ -48,6 +48,13 @@ PHYSICALITY_TOL = 1e-12
 # caches 128 entries of 16 d_box^3 bytes (d_box = d_sys + d_env - 1): about
 # 16 MB at d_sys = 5 and 16 levels, which reach nbar = 0.57 at tail_tol 1e-7.
 D_ENV_MAX = 16
+
+# apply_channels_oracle maps at most this many channels at once. One channel
+# there costs at most about 340 KB, at d_box = 20 (n = 2, 16 levels): its
+# sector blocks (16 d_box^3 bytes, 128 KB) and three copies of its Kraus
+# elements (gathered, weighted and conjugated; 18 x 16 x 5 x 3 complex,
+# 69 KB each). So a block stays under 11 MB.
+KRAUS_BLOCK = 32
 
 
 class ImpossibleEventError(RuntimeError):
@@ -256,44 +263,82 @@ def _mixing_unitary(eta: float, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _kraus_layout(d_in: int, d_sys: int, d_env: int) -> tuple[np.ndarray, np.ndarray]:
+def _kraus_layout(d_in: int, d_sys: int, d_env: int) -> np.ndarray:
     """Where the Kraus elements of the dilation sit in the sector blocks.
 
     K_jm[n, a] = <n, j| U |a, m> is nonzero only when a + m = n + j, where it
     is block [a + m][n, a]. Over the grid (j, m, n, a), of shape
     (d_in + d_env - 1, d_env, d_sys, d_in), this returns the flat index into
-    a (d_box,)*3 block array and a 0/1 mask of the entries that conserve
-    photon number.
+    a (d_box,)*3 block array. An entry that does not conserve photon number
+    points at block [0][d_box - 1, d_box - 1], which lies outside sector 0's
+    1 x 1 corner and so is exactly 0.
     """
     d_box = d_sys + d_env - 1
     j, m, n, a = np.indices((d_in + d_env - 1, d_env, d_sys, d_in))
     n_tot = a + m
-    conserving = j == n_tot - n
-    flat = np.where(conserving, (n_tot * d_box + n) * d_box + a, 0)
-    mask = conserving.astype(float)
-    flat.flags.writeable = mask.flags.writeable = False
-    return flat, mask
+    flat = np.where(j == n_tot - n, (n_tot * d_box + n) * d_box + a, d_box * d_box - 1)
+    flat.flags.writeable = False
+    return flat
 
 
-def apply_channel_oracle(
-    rho: ModeOperator, p: ChannelParams, cfg: TruncationConfig
-) -> ModeOperator:
-    """Brute-force channel action: dilate, mix, trace out the environment.
+def environment_levels(nbar: float, cfg: TruncationConfig) -> int:
+    """Thermal environment levels for the oracle dilation at occupation nbar.
 
-    The input (dim d_in <= cfg.d_sys) meets a thermal environment (d_env
-    levels populated, p_m) on a beam splitter of transmissivity eta, and the
-    environment is traced out. The environment is diagonal, so the result
-    is the Kraus sum
+    Starts at cfg.d_env and adds levels until the discarded geometric tail
+    is at most cfg.tail_tol; past D_ENV_MAX levels that raises
+    TruncationError.
+    """
+    d_env = cfg.d_env
+    while (tail := thermal_tail_mass(nbar, d_env)) > cfg.tail_tol:
+        if d_env >= D_ENV_MAX:
+            raise TruncationError(
+                f"environment tail mass {tail:.3e} exceeds tail_tol {cfg.tail_tol:.1e} "
+                f"at nbar = {nbar:.4f} even with {d_env} levels (at most {D_ENV_MAX})"
+            )
+        d_env += 1
+    return d_env
+
+
+def _kraus_images(ops: np.ndarray, channels: Sequence[ChannelParams], d_sys: int,
+                  d_env: int) -> np.ndarray:
+    """The Kraus sum of apply_channels_oracle for channels that share d_env.
+
+    The Kraus elements of every channel are gathered from its sector blocks
+    into K[c, jm, n, a], and one matmul over jm gives each channel's
+    superoperator S[c, (n, a), (p, b)] = sum_jm p_m K_jm[n, a] conj(K_jm[p, b]);
+    a second applies it to every operator.
+    """
+    c, (o, d_in, _) = len(channels), ops.shape
+    blocks = np.array([_mixing_unitary(p.eta, d_sys + d_env - 1) for p in channels])
+    kraus = blocks.reshape(c, -1)[:, _kraus_layout(d_in, d_sys, d_env)]  # (c, j, m, n, a)
+    weights = thermal_weights(np.array([p.nbar for p in channels]), d_env)
+    left = (kraus * weights[:, None, :, None, None]).reshape(c, -1, d_sys * d_in)
+    s = np.swapaxes(left, 1, 2) @ kraus.reshape(left.shape).conj()
+    s = s.reshape(c, d_sys, d_in, d_sys, d_in).transpose(0, 1, 3, 2, 4)
+    out = s.reshape(c, d_sys * d_sys, d_in * d_in) @ ops.reshape(o, d_in * d_in).T
+    return out.transpose(0, 2, 1).reshape(c, o, d_sys, d_sys)
+
+
+def apply_channels_oracle(
+    ops: np.ndarray, channels: Sequence[ChannelParams], cfg: TruncationConfig
+) -> np.ndarray:
+    """Brute-force channel action on a stack of operators through a stack of
+    channels: dilate, mix, trace out the environment.
+
+    ops is (O, d_in, d_in) with d_in <= cfg.d_sys; the result out[c, o], of
+    shape (C, O, cfg.d_sys, cfg.d_sys), is channel c applied to ops[o]. Each
+    input meets a thermal environment (d_env levels populated, p_m) on a
+    beam splitter of transmissivity eta, and the environment is traced out.
+    The environment is diagonal, so the result is the Kraus sum
 
         out = sum_m p_m sum_j K_jm rho K_jm+,   K_jm[n, a] = <n, j| U |a, m>,
 
     with each K_jm only cfg.d_sys x d_in. U conserves n_sys + n_env, so
     K_jm[n, a] is nonzero only for a + m = n + j, where it is the entry
-    [n, a] of U's block on the sector N = a + m (see _mixing_unitary).
-
-    d_env starts at cfg.d_env and grows until the discarded geometric tail
-    is at most cfg.tail_tol; past D_ENV_MAX levels that raises
-    TruncationError.
+    [n, a] of U's block on the sector N = a + m (see _mixing_unitary, called
+    once per channel). d_env comes from environment_levels; channels are
+    grouped by it and mapped KRAUS_BLOCK at a time, and an identity channel
+    returns its inputs zero-padded.
 
     Exactness: the inputs reach at most N = (d_in - 1) + (d_env - 1), and
     every sector up to that is complete in the blocks, so the mixing is
@@ -310,28 +355,25 @@ def apply_channel_oracle(
     Works on any operator, not only densities: the map is linear, which is
     what lets hybrid states be pushed through block by block.
     """
-    d_in = rho.dim
+    n_ops, d_in, _ = ops.shape
     if d_in > cfg.d_sys:
         raise ValueError(f"input dimension {d_in} exceeds cfg.d_sys = {cfg.d_sys}")
-    if p.is_identity:
-        if d_in == cfg.d_sys:
-            return rho
-        padded = np.zeros((cfg.d_sys, cfg.d_sys), dtype=complex)
-        padded[:d_in, :d_in] = rho.entries
-        return ModeOperator(cfg.d_sys, padded)
-    nbar = p.nbar
-    d_env = cfg.d_env
-    while (tail := thermal_tail_mass(nbar, d_env)) > cfg.tail_tol:
-        if d_env >= D_ENV_MAX:
-            raise TruncationError(
-                f"environment tail mass {tail:.3e} exceeds tail_tol {cfg.tail_tol:.1e} "
-                f"at nbar = {nbar:.4f} even with {d_env} levels (at most {D_ENV_MAX})"
-            )
-        d_env += 1
-    weights = thermal_state(nbar, d_env).entries.diagonal().real
-    blocks = _mixing_unitary(p.eta, cfg.d_sys + d_env - 1)
-    flat, conserving = _kraus_layout(d_in, cfg.d_sys, d_env)
-    kraus = blocks.reshape(-1)[flat] * conserving
-    weighted = (kraus * weights[:, None, None]) @ rho.entries
-    out = np.einsum("jmna,jmpa->np", weighted, kraus.conj())
-    return ModeOperator(cfg.d_sys, out)
+    levels = [0 if p.is_identity else environment_levels(p.nbar, cfg) for p in channels]
+    out = np.zeros((len(channels), n_ops, cfg.d_sys, cfg.d_sys), dtype=complex)
+    for d_env in set(levels):
+        group = [c for c, level in enumerate(levels) if level == d_env]
+        if not d_env:
+            out[group, :, :d_in, :d_in] = ops
+            continue
+        for start in range(0, len(group), KRAUS_BLOCK):
+            block = group[start : start + KRAUS_BLOCK]
+            out[block] = _kraus_images(ops, [channels[c] for c in block], cfg.d_sys, d_env)
+    return out
+
+
+def apply_channel_oracle(
+    rho: ModeOperator, p: ChannelParams, cfg: TruncationConfig
+) -> ModeOperator:
+    """apply_channels_oracle for one operator and one channel: the image of
+    rho (dim d_in <= cfg.d_sys), at cfg.d_sys levels."""
+    return ModeOperator(cfg.d_sys, apply_channels_oracle(rho.entries[None], [p], cfg)[0, 0])

@@ -16,7 +16,12 @@ Subcommands:
 Every quantity that ``fidelity`` and ``sweep`` evaluate is one entry of
 ``QUANTITIES``: its closed-form call, its oracle call, and the parameters it
 takes, which config validation reads. The closed form evaluates a whole
-section in one array call; the oracle evaluates point by point.
+section in one array call. The oracle evaluates a section in a few batched
+calls: per photon number, one (distinct channels x distinct k) array, whose
+channel images come from one Kraus kernel call per environment size, and
+whose optimal_k scan is one (channels x k) array; a ``fidelity`` query runs
+the same steps through the one-point API (heralded_state,
+state_fidelity_oracle).
 
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
 parameters (the physicality margin is reported, never clamped), 3 request
@@ -31,9 +36,9 @@ Channel options on the command line are held to the same domains as sweep
 configs.
 
 Sweep configs are a single JSON object; unknown keys are errors and every
-schema violation is listed before exiting. Grid points are evaluated in
-row-major axis order on the calling thread, so output bytes are stable for
-a fixed config and package version.
+schema violation is listed before exiting. A section is evaluated on the
+calling thread and its rows are written in row-major axis order, so output
+bytes are stable for a fixed config and package version.
 """
 
 from __future__ import annotations
@@ -72,10 +77,13 @@ from .channel import (
     transducer_to_channel,
 )
 from .fock import TruncationConfig, TruncationError
-from .states import QubitTimeBinSpec, state_fidelity_oracle
+from .states import QubitTimeBinSpec, state_fidelities, state_fidelity_oracle
 from .swap import (
+    MAX_BINS,
     DetectionPattern,
     HeraldClass,
+    canonical_heralds,
+    check_bins,
     classify_single_photon,
     classify_two_photon,
     heralded_state,
@@ -402,18 +410,23 @@ def _k_max(q: dict[str, Any]) -> int:
 
 
 class _Points(NamedTuple):
-    """A section's points for the array engine: their channels, and their bin
-    and photon numbers as columns. Read as a spec, it gives k and n."""
+    """A section's points for the array engines: their channels, as arrays
+    (channels) and one by one (params), and their bin and photon numbers as
+    columns. Read as a spec, it gives k and n."""
 
     channels: Channels
+    params: list[ChannelParams]
     k: np.ndarray
     n: np.ndarray
     k_max: int
 
 
-def _points(channels: Iterable[ChannelParams], points: list[dict[str, Any]]) -> _Points:
+def _points(points: list[dict[str, Any]]) -> _Points:
+    """A ChannelParams per point, which validates it, then the columns."""
+    params = [_channel_for(q) for q in points]
     return _Points(
-        Channels.of(channels),
+        Channels.of(params),
+        params,
         np.array([int(q.get("k", 1)) for q in points]),
         np.array([int(q.get("n", 1)) for q in points]),
         _k_max(points[0]),
@@ -437,31 +450,82 @@ def _swap_analytic(s: _Points, column: str) -> tuple[np.ndarray, SwapFidelityRes
     return getattr(result, column), result
 
 
-def _swap_oracle(p: ChannelParams, q: dict[str, Any]) -> tuple[float, float]:
-    spec = _spec(q)
+# The oracle evaluates at most this many (channel, k) heralds at once. One
+# costs about 1.5 KB there: its 16 complex log weights (256 B), their
+# exponent, the state and its temporaries (about 5 x 256 B more), so a
+# block stays near 6 MB.
+ORACLE_BLOCK = 1 << 12
+
+Table = Callable[[int, list[ChannelParams], np.ndarray], np.ndarray]
+
+
+def _oracle_grid(table: Table) -> Callable[[_Points], np.ndarray]:
+    """An oracle engine from table(n, channels, ks): a (channels x k) array
+    over the distinct channels and distinct bin counts of the points with n
+    photons. Each point reads its entry; channels keep the order of their
+    first point, so a refused channel raises as it would point by point."""
+
+    def engine(s: _Points) -> np.ndarray:
+        values = np.empty(len(s.k))
+        for n in np.unique(s.n):
+            at = np.flatnonzero(s.n == n)
+            index: dict[ChannelParams, int] = {}
+            rows = [index.setdefault(s.params[i], len(index)) for i in at]
+            ks, cols = np.unique(s.k[at], return_inverse=True)
+            values[at] = table(int(n), list(index), ks)[rows, cols]
+        return values
+
+    return engine
+
+
+def _row_blocks(channels: list[ChannelParams], width: int) -> Iterable[slice]:
+    """Slices of channels whose rows of width k each hold at most ORACLE_BLOCK."""
+    step = max(1, ORACLE_BLOCK // width)
+    return (slice(start, start + step) for start in range(0, len(channels), step))
+
+
+def _herald_fidelities(n: int, channels: list[ChannelParams], ks: np.ndarray) -> np.ndarray:
+    """Oracle swap fidelity of the canonical n-photon herald over (channels x ks)."""
+    cfg = TruncationConfig.for_encoding(n)
+    blocks = _row_blocks(channels, ks.size)
+    return np.concatenate([canonical_heralds(n, channels[b], ks, cfg)[0] for b in blocks])
+
+
+def _oracle_optimal_k(channels: list[ChannelParams], k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Brute-force counterpart of analytic.optimal_k: the canonical heralds
+    of k = 1..k_max (at most swap.MAX_BINS) as one (channels x k) array,
+    ORACLE_BLOCK elements at a time. A scan ends at the first k > 1 whose
+    weight is below the smallest normal double; ties by the same rule."""
+    ks = np.arange(1, min(k_max, MAX_BINS) + 1)
+    cfg = TruncationConfig.for_encoding(1)
+    k_star, best = np.empty(len(channels), dtype=int), np.empty(len(channels))
+    for block in _row_blocks(channels, ks.size):
+        fid, log_k0 = canonical_heralds(1, channels[block], ks, cfg)
+        inside = log_k0 >= LOG_MIN
+        inside[:, 0] = True
+        inside = np.logical_and.accumulate(inside, axis=1)
+        if k_max > MAX_BINS and inside[:, -1].any():
+            check_bins(MAX_BINS + 1)  # a scan that has not ended by MAX_BINS is refused
+        k_star[block], best[block] = pick_k(np.where(inside, 1.0 - fid, np.inf))
+    return k_star, best
+
+
+def _oracle_point(kind: str, p: ChannelParams, q: dict[str, Any]) -> tuple[float, float | None]:
+    """One oracle fidelity, state or swap, and the swap's log K0: the
+    one-point API, as fidelity queries use it."""
+    spec, cfg = _spec(q), _truncation(q)
+    if kind == "state":
+        return state_fidelity_oracle(spec, p, cfg), None
     if spec.n == 1:
         pattern = DetectionPattern.canonical(spec.k)
     else:
         pattern = DetectionPattern(k=2, counts=((2, 0), (2, 0)))
-    h = heralded_state(p, p, spec, pattern, _truncation(q))
+    h = heralded_state(p, p, spec, pattern, cfg)
     return h.fidelity_phi_plus, h.log_success_probability
 
 
-def _oracle_optimal_k(p: ChannelParams, q: dict[str, Any]) -> tuple[int, float]:
-    """Brute-force counterpart of analytic.optimal_k: scans heralded states up
-    to the first k > 1 whose weight is below the smallest normal double (at
-    most swap.MAX_BINS), then breaks ties by the same rule."""
-    infidelities = []
-    for k in range(1, _k_max(q) + 1):
-        fid, log_k0 = _swap_oracle(p, {"k": k})
-        if k > 1 and log_k0 < LOG_MIN:
-            break
-        infidelities.append(1.0 - fid)
-    return pick_k(infidelities)
-
-
-Evaluation = Callable[[ChannelParams, dict[str, Any]], tuple[float, float | None]]
 Engine = Callable[[_Points], tuple[np.ndarray, SwapFidelityResult | None]]
+TWO_BINS = np.array([2])
 
 
 @dataclass(frozen=True)
@@ -469,13 +533,13 @@ class Quantity:
     """One evaluable quantity: two independent evaluations and its parameters.
 
     analytic maps a section's points to (values, the swap result behind them
-    or None), in one call into the closed-form array engine. oracle maps one
-    (channel, point parameters) to (value, log K0), where K0 is the herald
-    success weight of the swap fidelity, and log K0 is None elsewhere.
+    or None), in one call into the closed-form array engine; oracle maps
+    them to values through the brute-force engine, a few batched calls per
+    section.
     """
 
     analytic: Engine
-    oracle: Evaluation
+    oracle: Callable[[_Points], np.ndarray]
     takes_k: bool = False  # a per-bin quantity: needs k, accepts n
     scans_k: bool = False  # scans k = 1..k_max itself
     analytic_n2: bool = True  # the closed form covers n = 2 encodings
@@ -484,16 +548,19 @@ class Quantity:
 QUANTITIES: dict[str, Quantity] = {
     "state_fidelity": Quantity(
         lambda s: (state_fidelity_analytic(s, s.channels), None),
-        lambda p, q: (state_fidelity_oracle(_spec(q), p, _truncation(q)), None),
+        _oracle_grid(lambda n, channels, ks: state_fidelities(
+            n, channels, ks, TruncationConfig.for_encoding(n))),
         takes_k=True,
         analytic_n2=False,
     ),
     "swap_fidelity": Quantity(
-        lambda s: _swap_analytic(s, "fidelity"), _swap_oracle, takes_k=True
+        lambda s: _swap_analytic(s, "fidelity"),
+        _oracle_grid(_herald_fidelities),
+        takes_k=True,
     ),
     "swap_infidelity": Quantity(
         lambda s: _swap_analytic(s, "infidelity"),
-        lambda p, q: (1.0 - _swap_oracle(p, q)[0], None),
+        _oracle_grid(lambda n, channels, ks: 1.0 - _herald_fidelities(n, channels, ks)),
         takes_k=True,
     ),
     "fidelity_ratio_n1_n2": Quantity(
@@ -501,31 +568,30 @@ QUANTITIES: dict[str, Quantity] = {
             swap_fidelity_n1(s.channels).fidelity / swap_fidelity_n2(s.channels).fidelity,
             None,
         ),
-        lambda p, q: (_swap_oracle(p, {"k": 2})[0] / _swap_oracle(p, {"k": 2, "n": 2})[0], None),
+        lambda s: (_herald_fidelities(1, s.params, TWO_BINS)
+                   / _herald_fidelities(2, s.params, TWO_BINS))[:, 0],
     ),
     "optimal_k": Quantity(
         lambda s: (optimal_k(s.channels, s.k_max)[0], None),
-        lambda p, q: (float(_oracle_optimal_k(p, q)[0]), None),
+        lambda s: _oracle_optimal_k(s.params, s.k_max)[0],
         scans_k=True,
     ),
     "swap_infidelity_at_optimal_k": Quantity(
         lambda s: (optimal_k(s.channels, s.k_max)[1], None),
-        lambda p, q: (_oracle_optimal_k(p, q)[1], None),
+        lambda s: _oracle_optimal_k(s.params, s.k_max)[1],
         scans_k=True,
     ),
 }
 
 
 def _analytic_section(quantity: str, points: list[dict[str, Any]]) -> list[float]:
-    """Values of a section's points: a ChannelParams per point, which
-    validates it, then one array call into the closed-form engine."""
-    channels = map(_channel_for, points)
-    return QUANTITIES[quantity].analytic(_points(channels, points))[0].tolist()
+    """Values of a section's points, in one array call into the closed-form engine."""
+    return QUANTITIES[quantity].analytic(_points(points))[0].tolist()
 
 
 def _oracle_section(quantity: str, points: list[dict[str, Any]]) -> list[float]:
-    evaluate = QUANTITIES[quantity].oracle
-    return [evaluate(_channel_for(q), q)[0] for q in points]
+    """Values of a section's points, in a few batched calls into the oracle."""
+    return QUANTITIES[quantity].oracle(_points(points)).tolist()
 
 
 _EVALUATORS = {"analytic": _analytic_section, "oracle": _oracle_section}
@@ -669,12 +735,13 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     if args.n == 2 and not quantity.analytic_n2 and args.method != "oracle":
         raise CliError(f"{args.kind} fidelity has no closed form for n = 2; use --method oracle")
     params = _given(args)
-    p = _channel_for(params)
+    point = _points([params])
+    p = point.params[0]
     blocks: dict[str, dict[str, Any]] = {}
     refusal = None
     for method in _methods(args.method):
         if method == "analytic":
-            values, result = quantity.analytic(_points([p], [params]))
+            values, result = quantity.analytic(point)
             fid = float(values[0])
             block = {"fidelity": fid, "infidelity": 1.0 - fid}
             if result is not None:
@@ -682,7 +749,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
                              log_K0=float(result.log_K0[0]))
         else:
             try:
-                fid, log_k0 = quantity.oracle(p, params)
+                fid, log_k0 = _oracle_point(args.kind, p, params)
             except (TruncationError, ImpossibleEventError) as exc:
                 if args.method != "both":
                     raise

@@ -162,18 +162,24 @@ def thermal_tail_mass(nbar: float, d: int) -> float:
     return float((nbar / (1.0 + nbar)) ** d)
 
 
-def thermal_state(nbar: float, d: int) -> ModeOperator:
-    """Thermal (geometric) state with mean occupation nbar, renormalized on d levels.
+def thermal_weights(nbar, d: int) -> np.ndarray:
+    """Level populations p_0..p_{d-1} of a thermal (geometric) state with mean
+    occupation nbar, renormalized on d levels, along a last axis; nbar may
+    be an array.
 
     The discarded tail mass is thermal_tail_mass(nbar, d); renormalization
-    keeps the trace exactly 1 so downstream trace bookkeeping stays honest.
+    keeps the sum exactly 1 so downstream trace bookkeeping stays honest.
     """
-    if nbar < 0:
+    nbar = np.asarray(nbar, dtype=float)[..., None]
+    if (nbar < 0).any():
         raise ValueError("mean occupation must be nonnegative")
-    r = nbar / (1.0 + nbar)
-    p = np.array([r**m for m in range(d)], dtype=float) / (1.0 + nbar)
-    p /= p.sum()
-    return ModeOperator(d, np.diag(p.astype(complex)))
+    p = (nbar / (1.0 + nbar)) ** np.arange(d) / (1.0 + nbar)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def thermal_state(nbar: float, d: int) -> ModeOperator:
+    """Thermal state with mean occupation nbar on d levels: diag(thermal_weights)."""
+    return ModeOperator(d, np.diag(thermal_weights(nbar, d).astype(complex)))
 
 
 # Port-mixing matrix of the balanced beam splitter used throughout: it is

@@ -13,19 +13,23 @@ bins are its view [::-1, ::-1]. Nothing in a state grows with k, and a full
 2 * d^k tensor is built only on request, for small-k checks.
 
 The transfer fidelity here is the brute-force one: oracle channel images
-contracted against the ideal state. Its closed form lives in module
-analytic; tests hold the two within 1e-5 of each other, and neither is
-derived from the other.
+contracted against the ideal state. channel_images maps the even bin
+through a stack of channels in one kernel call, and state_fidelities raises
+each channel's even-bin overlap to the powers of many k at once;
+channel_output and state_fidelity_oracle are their one-point API. The
+closed form lives in module analytic; tests hold the two within 1e-5 of
+each other, and neither is derived from the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, apply_channel_oracle
+from .channel import ChannelParams, apply_channel_oracle, apply_channels_oracle
 from .fock import ModeOperator, MultiModeOperator, TruncationConfig, fock_vector
 
 GROUND, EXCITED = 0, 1
@@ -91,11 +95,6 @@ class HybridDensity:
             raise IndexError(f"bin {i} of a {self.k}-bin state")
         return self.even[::-1, ::-1] if i % 2 else self.even
 
-    def _per_parity(self, per_bin: np.ndarray) -> np.ndarray:
-        """prod_i of a 2x2 array over the bins, given its even-bin value:
-        the odd bins contribute its qubit-swapped value."""
-        return per_bin ** ((self.k + 1) // 2) * per_bin[::-1, ::-1] ** (self.k // 2)
-
     def assemble_full(self) -> MultiModeOperator:
         """Explicit (2, d, ..., d) tensor; exponential in k, use for k <= 3 checks."""
         d = self.bin_dim
@@ -110,23 +109,42 @@ class HybridDensity:
 
     def qubit_reduced(self) -> np.ndarray:
         """2x2 reduced state of the qubit (photonic modes traced out)."""
-        return NORM * self._per_parity(np.trace(self.even, axis1=2, axis2=3))
+        return NORM * _per_parity(np.trace(self.even, axis1=2, axis2=3), self.k)
 
     def contract(self, other: "HybridDensity") -> float:
         """Tr(self * other), using the per-bin factorization.
 
         Tr of a block product telescopes bin by bin:
         NORM^2 * sum_{q,q'} prod_i Tr(A_i[q,q'] B_i[q',q]). On the even bins
-        the factor is E[q, q'] = Tr(A[q,q'] B[q',q]) of the two even arrays,
-        on the odd bins E[1 - q, 1 - q'], so the product is two powers.
-        Bins of different dimensions are contracted on the common corner
-        (the smaller operator is implicitly zero-padded).
+        the factor is E[q, q'] = Tr(A[q,q'] B[q',q]) of the two even arrays
+        (_bin_overlaps), on the odd bins E[1 - q, 1 - q'], so the product is
+        two powers (_contract).
         """
         if other.k != self.k:
             raise ValueError(f"bin count mismatch: {self.k} vs {other.k}")
-        m = min(self.bin_dim, other.bin_dim)
-        per_bin = np.einsum("qpmn,pqnm->qp", self.even[..., :m, :m], other.even[..., :m, :m])
-        return float((NORM * NORM * self._per_parity(per_bin).sum()).real)
+        return float(_contract(_bin_overlaps(self.even, other.even), self.k))
+
+
+def _per_parity(per_bin: np.ndarray, k) -> np.ndarray:
+    """prod_i over k bins of a 2x2 array (the last two axes), given its even-bin
+    value: the odd bins contribute its qubit-swapped value. k broadcasts
+    against the leading axes."""
+    k = np.asarray(k)[..., None, None]
+    return per_bin ** ((k + 1) // 2) * per_bin[..., ::-1, ::-1] ** (k // 2)
+
+
+def _bin_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """E[..., q, q'] = Tr(a[..., q, q'] b[..., q', q]) of two (..., 2, 2, d, d)
+    even-bin arrays. Bins of different dimensions are contracted on the
+    common corner (the smaller operator is implicitly zero-padded)."""
+    m = min(a.shape[-1], b.shape[-1])
+    return np.einsum("...qpmn,...pqnm->...qp", a[..., :m, :m], b[..., :m, :m])
+
+
+def _contract(per_bin: np.ndarray, k) -> np.ndarray:
+    """Tr of two k-bin states from their even-bin overlaps (_bin_overlaps);
+    k broadcasts against the leading axes."""
+    return (NORM * NORM * _per_parity(per_bin, k).sum(axis=(-2, -1))).real
 
 
 @lru_cache(maxsize=16)
@@ -152,13 +170,42 @@ def ideal_state(spec: QubitTimeBinSpec, d: int | None = None) -> HybridDensity:
     return HybridDensity(spec.k, _even_bin_ops(spec.n, d))
 
 
+def channel_images(
+    n: int, channels: Sequence[ChannelParams], cfg: TruncationConfig
+) -> np.ndarray:
+    """Oracle images of the even bin under a stack of channels, (C, 2, 2,
+    d_sys, d_sys): entry [c, q, q'] is channel c applied to |v_q><v_q'| (see
+    _even_bin_ops). The four operators and every channel go through one
+    apply_channels_oracle call."""
+    _check_headroom(n, cfg)
+    d_in = n + 1
+    images = apply_channels_oracle(_even_bin_ops(n, d_in).reshape(4, d_in, d_in), channels, cfg)
+    return images.reshape(len(channels), 2, 2, cfg.d_sys, cfg.d_sys)
+
+
+def state_fidelities(
+    n: int, channels: Sequence[ChannelParams], ks: np.ndarray, cfg: TruncationConfig
+) -> np.ndarray:
+    """state_fidelity_oracle over (channels x bin counts ks), one (C, K)
+    array: each channel's even-bin overlap with the ideal state, raised to
+    the powers of every k at once."""
+    per_bin = _bin_overlaps(channel_images(n, channels, cfg), _even_bin_ops(n, n + 1))
+    return _contract(per_bin[:, None], np.asarray(ks)[None, :])
+
+
+def _check_headroom(n: int, cfg: TruncationConfig) -> None:
+    if cfg.d_sys < n + 2:
+        raise ValueError(
+            f"d_sys = {cfg.d_sys} leaves no headroom above the {n}-photon encoding; "
+            f"need at least {n + 2}"
+        )
+
+
 @lru_cache(maxsize=128)
 def _channel_images(n: int, p: ChannelParams, cfg: TruncationConfig) -> np.ndarray:
-    """Oracle image of the even bin, a read-only (2, 2, d_sys, d_sys) array.
-
-    Entry [q, q'] is the channel applied to |v_q><v_q'| (see _even_bin_ops):
-    four apply_channel_oracle calls. They do not depend on k, so a scan over
-    k at one channel computes them once. Bounded like channel._mixing_unitary.
+    """channel_images for one channel, read-only, (2, 2, d_sys, d_sys): four
+    apply_channel_oracle calls. They do not depend on k, so calls at one
+    channel compute them once. Bounded like channel._mixing_unitary.
     """
     d_in = n + 1
     images = np.array(
@@ -183,11 +230,7 @@ def channel_output(
     calls that differ only in k reuse them. Time and memory do not depend
     on k.
     """
-    if cfg.d_sys < spec.n + 2:
-        raise ValueError(
-            f"d_sys = {cfg.d_sys} leaves no headroom above the {spec.n}-photon encoding; "
-            f"need at least {spec.n + 2}"
-        )
+    _check_headroom(spec.n, cfg)
     return HybridDensity(spec.k, _channel_images(spec.n, p, cfg))
 
 

@@ -19,8 +19,14 @@ unnormalized 4x4 qubit matrix is their element-wise product. A state holds
 one (2, 2, d, d) array for the even bins, and the odd ones are its
 qubit-swapped view, so a bin's tensor depends only on its parity and its
 counts. Each distinct (bin parity, counts) pair is contracted once (two for
-the canonical pattern), and k enters only through counting them. No 2k-mode
-tensor is ever assembled.
+the canonical pattern), and k enters only through how many bins of each a
+pattern holds: a (patterns x distinct bins) multiplicity matrix gives every
+log weight in one product. No 2k-mode tensor is ever assembled.
+
+canonical_heralds runs these steps for the canonical herald over a stack of
+channels and many k at once, the (ceil(k/2), floor(k/2)) even and odd bins;
+heralded_state is their one-point view, for any pattern and unequal
+channels.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .fock import (
     number_projector,
     tensor,
 )
-from .states import NORM, QubitTimeBinSpec, channel_output
+from .states import NORM, QubitTimeBinSpec, channel_images, channel_output
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -212,9 +218,10 @@ def _measurement_kernel(counts: tuple[int, int], d: int) -> np.ndarray:
 
 
 def _bin_trace_tensor(x: np.ndarray, y: np.ndarray, counts: tuple[int, int]) -> np.ndarray:
-    """Per-bin contribution T[qA, qA', qB, qB'] = Tr[(X (x) Y) M].
+    """Per-bin contribution T[..., qA, qA', qB, qB'] = Tr[(X (x) Y) M].
 
-    X = x and Y = y are the two sides' arrays of one bin, each (2, 2, d, d).
+    X = x and Y = y are the two sides' arrays of one bin, each (..., 2, 2,
+    d, d) with the same leading axes (a stack of channels, or none).
     M = U+ |a b><a b| U is the measurement element of this bin; the trace is
     evaluated through the projected vector w = U+|a b> instead of assembling
     M, so nothing bigger than d^2 x d^2 appears:
@@ -223,9 +230,54 @@ def _bin_trace_tensor(x: np.ndarray, y: np.ndarray, counts: tuple[int, int]) -> 
     matmuls over the four X blocks and the four Y blocks.
     """
     d = x.shape[-1]
-    X = x.reshape(4, d * d)
-    Y = y.reshape(4, d * d)
-    return (X @ _measurement_kernel(counts, d) @ Y.T).reshape(2, 2, 2, 2)
+    lead = x.shape[:-4]
+    X = x.reshape(*lead, 4, d * d)
+    Y = y.reshape(*lead, 4, d * d)
+    return (X @ _measurement_kernel(counts, d) @ Y.swapaxes(-1, -2)).reshape(*lead, 2, 2, 2, 2)
+
+
+def _herald_logs(x_a: np.ndarray, x_b: np.ndarray, bins, mult: np.ndarray) -> np.ndarray:
+    """Log of the unnormalized herald matrix, (K, ..., 4, 4) over (qA qB, qA' qB').
+
+    x_a and x_b are the two sides' even-bin arrays, (..., 2, 2, d, d); an odd
+    bin is the view [::-1, ::-1]. bins lists the B distinct (bin parity,
+    counts) pairs, each contracted once (_bin_trace_tensor), and mult (K, B)
+    how many bins of each the K patterns hold, so every log weight is one
+    product. An entry within ZERO_WEIGHT of 0 is 0 (log -inf) wherever its
+    bin occurs; a bin a pattern does not hold (multiplicity 0) zeroes
+    nothing.
+    """
+    def side(x, parity):
+        return x[..., ::-1, ::-1, :, :] if parity else x
+
+    tensors = np.array([_bin_trace_tensor(side(x_a, parity), side(x_b, parity), counts)
+                        for parity, counts in bins])
+    tensors = tensors.swapaxes(-3, -2).reshape(len(tensors), -1)
+    zero = np.abs(tensors) <= ZERO_WEIGHT
+    logs = mult @ np.log(np.where(zero, 1.0, tensors))
+    logs[(mult > 0) @ zero] = -np.inf
+    return logs.reshape(len(mult), *x_a.shape[:-4], 4, 4)
+
+
+def _top(logs: np.ndarray) -> np.ndarray:
+    """The largest diagonal log weight of each herald of _herald_logs; -inf
+    marks an impossible herald."""
+    return logs.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
+
+
+def _normalized(logs: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, fidelity to Phi+, log success probability) of possible heralds
+    from _herald_logs and their _top, over the leading axes."""
+    unnorm = np.exp(logs - top[..., None, None])
+    trace = unnorm.trace(axis1=-2, axis2=-1).real  # in [1, 4]
+    # the mean with the conjugate transpose scrubs roundoff asymmetry
+    rho = (unnorm + unnorm.swapaxes(-1, -2).conj()) / (2.0 * trace[..., None, None])
+    return rho, (PHI_PLUS @ rho @ PHI_PLUS).real, top + np.log(trace * NORM * NORM)
+
+
+def _impossible(k: int, counts) -> ImpossibleEventError:
+    return ImpossibleEventError(f"pattern of k = {k} bins with counts {sorted(set(counts))} "
+                                f"has probability 0 to rounding for these channels")
 
 
 def heralded_state(
@@ -245,10 +297,11 @@ def heralded_state(
     ZERO_WEIGHT of 0 is 0; a pattern with such a bin on every qubit branch
     has probability 0 and raises ImpossibleEventError.
 
-    Cost: one trace tensor per distinct (bin parity, counts) pair (two for
-    the canonical pattern, at most four for any one-photon-per-bin
-    pattern), and O(k) only in counting them; the channel images come from
-    channel_output's cache. More than MAX_BINS bins raise TruncationError.
+    This is the one-point view of canonical_heralds' steps: one trace tensor
+    per distinct (bin parity, counts) pair (two for the canonical pattern,
+    at most four for any one-photon-per-bin pattern), and O(k) only in
+    counting them; the channel images come from channel_output's cache.
+    More than MAX_BINS bins raise TruncationError.
     """
     if pattern.k != spec.k:
         raise ValueError(f"pattern has {pattern.k} bins, encoding has {spec.k}")
@@ -263,27 +316,41 @@ def heralded_state(
     out_b = out_a if p_B == p_A else channel_output(spec, p_B, cfg)
 
     # On both sides every bin of one parity holds the same array, so a bin's
-    # parity and counts fix its tensor. Rows and columns over (qA, qB).
+    # parity and counts fix its tensor.
     bins = Counter((i % 2, counts) for i, counts in enumerate(pattern.counts))
-    tensors = np.array([_bin_trace_tensor(out_a.bin(i), out_b.bin(i), c) for i, c in bins])
-    tensors = tensors.transpose(0, 1, 3, 2, 4).reshape(-1, 16)
-    zero = np.abs(tensors) <= ZERO_WEIGHT
-    log_unnorm = np.fromiter(bins.values(), float) @ np.log(np.where(zero, 1.0, tensors))
-    log_unnorm[zero.any(axis=0)] = -np.inf
-    log_unnorm = log_unnorm.reshape(4, 4)
-    top = log_unnorm.diagonal().real.max()
+    logs = _herald_logs(out_a.even, out_b.even, bins, np.fromiter(bins.values(), float)[None])[0]
+    top = _top(logs)
     if top == -np.inf:
-        raise ImpossibleEventError(
-            f"pattern of k = {pattern.k} bins with counts {sorted(set(pattern.counts))} "
-            f"has probability 0 to rounding for these channels"
-        )
-    unnorm = np.exp(log_unnorm - top)
-    trace = unnorm.trace().real  # in [1, 4]
-    rho = (unnorm + unnorm.conj().T) / (2.0 * trace)  # scrub roundoff asymmetry
-    fid = float((PHI_PLUS @ rho @ PHI_PLUS).real)
-    log_success = top + math.log(trace * NORM * NORM)
+        raise _impossible(pattern.k, pattern.counts)
+    rho, fid, log_success = _normalized(logs, top)
     return HeraldedState(rho=rho, success_probability=math.exp(log_success),
-                         fidelity_phi_plus=fid, log_success_probability=log_success)
+                         fidelity_phi_plus=float(fid), log_success_probability=float(log_success))
+
+
+def canonical_heralds(
+    n: int, channels: Sequence[ChannelParams], ks: np.ndarray, cfg: TruncationConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fidelity to Phi+, log success probability) of the canonical herald,
+    n photons at port A in every bin, on both sides through the same channel,
+    over (channels x bin counts ks): two (C, K) arrays.
+
+    The channel images of every channel come from one channel_images call;
+    the even and the odd bin give one trace tensor each per channel, and a
+    k-bin herald holds ceil(k/2) and floor(k/2) of them. The point with the
+    smallest index among those with probability 0 raises
+    ImpossibleEventError; more than MAX_BINS bins raise TruncationError.
+    """
+    ks = np.asarray(ks)
+    check_bins(int(ks[np.argmax(ks > MAX_BINS)]))  # the first k past the limit, if any
+    images = channel_images(n, channels, cfg)
+    mult = np.stack([(ks + 1) // 2, ks // 2], axis=-1).astype(float)
+    bins = ((0, (n, 0)), (1, (n, 0)))
+    logs = _herald_logs(images, images, bins, mult).swapaxes(0, 1)
+    top = _top(logs)
+    impossible = np.argwhere(top == -np.inf)
+    if impossible.size:
+        raise _impossible(int(ks[impossible[0, 1]]), ((n, 0),))
+    return _normalized(logs, top)[1:]
 
 
 def measurement_operator(pattern: DetectionPattern, d: int) -> MultiModeOperator:
