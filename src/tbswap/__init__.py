@@ -37,8 +37,6 @@ from .fock import (
     TruncationError,
     annihilation,
     beam_splitter_unitary,
-    characteristic_function,
-    characteristic_function_joint,
     creation,
     fock_state,
     fock_vector,

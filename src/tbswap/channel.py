@@ -26,8 +26,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.constants import h as PLANCK
-from scipy.constants import k as BOLTZMANN
 
 from .fock import (
     ModeOperator,
@@ -39,6 +37,10 @@ from .fock import (
 
 # Not called here; benchmarks/tracing.py hooks these names for declared metrics (now 0).
 from .fock import partial_trace, tensor  # noqa: F401
+
+# Planck's and Boltzmann's constants, in J s and J/K: exact in the 2019 SI.
+PLANCK = 6.62607015e-34
+BOLTZMANN = 1.380649e-23
 
 # Tolerance for the physicality boundary N >= (1-eta)/2. Pure-loss parameters
 # constructed in floating point can sit a rounding error below the line.

@@ -13,7 +13,7 @@ Two things live here because several test modules need them:
   states.  The envelope-free matrix elements are written out directly
   from the Laguerre expansion of the displacement operator, giving the
   integral a route through the math that shares no code with
-  tbswap.fock.characteristic_function.
+  reference.characteristic_function.
 """
 
 import math

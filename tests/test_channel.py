@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
 from tbswap.channel import (
+    BOLTZMANN,
+    PLANCK,
     ChannelParams,
     TransducerParams,
     UnphysicalChannelError,
@@ -26,7 +29,6 @@ from tbswap.fock import (
     MultiModeOperator,
     TruncationConfig,
     TruncationError,
-    characteristic_function,
     fock_state,
     partial_trace,
     tensor,
@@ -34,6 +36,7 @@ from tbswap.fock import (
 )
 
 from conftest import ginibre_density
+from reference import characteristic_function
 
 CHI_AGREEMENT_TOL = 1e-5
 COMPOSITION_TOL = 1e-8
@@ -177,6 +180,12 @@ def test_transducer_rejects_bad_domain():
         TransducerParams(zeta_m=0.9, zeta_o=0.9, C=-0.5, nth=0.1)
     with pytest.raises(ValueError):
         TransducerParams(zeta_m=0.9, zeta_o=0.9, C=0.5, nth=-0.1)
+
+
+def test_si_constants_equal_scipy():
+    """Both are exact by definition in the 2019 SI."""
+    assert PLANCK == scipy.constants.h
+    assert BOLTZMANN == scipy.constants.k
 
 
 def test_bose_einstein_reference_points():

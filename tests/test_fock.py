@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
 from tbswap.fock import (
@@ -15,8 +16,6 @@ from tbswap.fock import (
     annihilation,
     basis_index,
     beam_splitter_unitary,
-    characteristic_function,
-    characteristic_function_joint,
     creation,
     fock_state,
     fock_vector,
@@ -28,6 +27,7 @@ from tbswap.fock import (
 )
 
 from conftest import chi_tilde, ginibre_density, overlap_by_quadrature
+from reference import characteristic_function, characteristic_function_joint
 
 UNITARITY_TOL = 1e-10
 DENSITY_TOL = 1e-10
@@ -115,6 +115,26 @@ def test_beam_splitter_unitarity():
     for d in (2, 3, 5):
         u = beam_splitter_unitary(d).entries
         np.testing.assert_allclose(u.conj().T @ u, np.eye(d * d), atol=UNITARITY_TOL)
+
+
+def test_beam_splitter_unitary_matches_expm():
+    """The eigendecomposition exponential equals scipy's expm of the
+    generator (pi/2) sum_ij (I - S)_ij a_i+ a_j, S the port-mixing matrix."""
+    h = (math.pi / 2.0) * (np.eye(2) - np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+    for d in range(2, 11):
+        a = annihilation(d).entries
+        ladders = [np.kron(a, np.eye(d)), np.kron(np.eye(d), a)]
+        gen = sum(h[i, j] * ladders[i].conj().T @ ladders[j] for i in range(2) for j in range(2))
+        np.testing.assert_allclose(beam_splitter_unitary(d).entries, expm(-1j * gen),
+                                   rtol=0.0, atol=1e-13)
+
+
+def test_beam_splitter_unitary_cache_is_bounded():
+    maxsize = beam_splitter_unitary.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for d in range(2, maxsize + 7):
+        beam_splitter_unitary(d)
+    assert beam_splitter_unitary.cache_info().currsize <= maxsize
 
 
 def test_beam_splitter_heisenberg_action():

@@ -17,7 +17,7 @@ import tbswap.cli as cli
 import tbswap.states as states
 import tbswap.swap as swap
 from tbswap.analytic import LOG_MIN, pick_k
-from tbswap.channel import ImpossibleEventError, environment_levels
+from tbswap.channel import ChannelParams, ImpossibleEventError, environment_levels
 from tbswap.fock import TruncationConfig, TruncationError
 from tbswap.states import QubitTimeBinSpec, state_fidelity_oracle
 from tbswap.swap import ZERO_WEIGHT, DetectionPattern, heralded_state
@@ -170,6 +170,26 @@ def test_section_past_the_bin_limit_raises_as_point_by_point():
     with pytest.raises(TruncationError) as batched:
         cli._oracle_section("swap_fidelity", points)
     assert str(batched.value) == str(one.value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 1000, 1023])
+def test_identity_channel_swap_fidelity_stays_in_range(k):
+    """At eta 1, nbar 0 the swap fidelity is 1. Rounding in the sum of k/2
+    log weights once left it a few ulps above 1; both paths clip it."""
+    section = cli._oracle_section("swap_fidelity", [{"eta": 1.0, "nbar": 0.0, "k": k}])[0]
+    point = herald(ChannelParams.from_eta_nbar(1.0, 0.0), k, 1).fidelity_phi_plus
+    for fidelity in (section, point):
+        assert fidelity <= 1.0
+        assert fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_normalized_clips_a_fidelity_past_one():
+    """Phi+ whose coherence log sits 1e-13 above its population logs, as
+    rounding in a sum of log weights can leave it: F is clipped to 1."""
+    logs = np.full((4, 4), -np.inf)
+    logs[1:3, 1:3] = [[0.0, 1e-13], [1e-13, 0.0]]
+    _, fidelity, _ = swap._normalized(logs, swap._top(logs))
+    assert fidelity == 1.0
 
 
 def test_scan_to_a_million_bins_ends_by_the_weight():

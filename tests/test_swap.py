@@ -24,7 +24,6 @@ from tbswap.fock import (
     TruncationError,
     basis_index,
     beam_splitter_unitary,
-    characteristic_function_joint,
 )
 from tbswap.states import EXCITED, GROUND, NORM, HybridDensity, QubitTimeBinSpec, channel_output
 from tbswap.swap import (
@@ -43,6 +42,8 @@ from tbswap.swap import (
     measurement_operator,
     parity_trace,
 )
+
+from reference import characteristic_function_joint
 
 BELL_TOL = 1e-9
 CONTRACTION_TOL = 1e-13
