@@ -33,7 +33,11 @@ or an impossible herald: on the closed-form path only eta = 0 at pure loss
 rounding. Where only the oracle refuses, ``fidelity --method both`` prints
 the closed-form block and the oracle's one-line reason, and exits 3.
 Channel options on the command line are held to the same domains as sweep
-configs.
+configs. A file the CLI cannot read or write (a directory, a missing
+parent) is a usage error: exit 1 with one stderr line naming the path.
+
+The argparse tree is built on the first ``main`` call and shared by every
+later call in the process; parsing does not change it.
 
 Sweep configs are a single JSON object; unknown keys are errors and every
 schema violation is listed before exiting. A section is evaluated on the
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -790,6 +795,8 @@ def _fidelity_text(block: dict[str, Any]) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise CliError(f"--k must be at least 1, got {args.k}")
     parts = args.pattern.split(",")
     if len(parts) != 2 * args.k:
         raise CliError(
@@ -867,7 +874,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # parser
 
 
+# Sharing is safe because parse_args leaves the parser as it was: each call
+# fills a fresh Namespace, the subparser action copies into it from a fresh
+# sub-namespace, and no default is mutable, so no call sees another's options.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The tbswap argument parser, built on the first call and shared by
+    every later one; callers must not mutate it."""
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -955,6 +968,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TruncationError, ImpossibleEventError) as exc:
         print(_refusal_text(exc), file=sys.stderr)
         return EXIT_INTRACTABLE
+    except OSError as exc:  # a --config or --out path that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

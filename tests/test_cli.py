@@ -19,6 +19,7 @@ from tbswap.cli import (
     EXIT_OK,
     EXIT_UNPHYSICAL,
     EXIT_USAGE,
+    build_parser,
     config_hash,
     main,
     parse_sweep_config,
@@ -462,6 +463,14 @@ def test_classify_invalid_and_two_photon(capsys):
     assert json.loads(out)["class"] == "PhiPlus"
 
 
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_classify_needs_at_least_one_bin(capsys, k):
+    code, out, err = run_cli(capsys, "classify", "--k", k, "--pattern", "1")
+    assert code == EXIT_USAGE
+    assert "--k must be at least 1" in err
+    assert "2k" not in err
+
+
 def test_classify_malformed_pattern(capsys):
     code, out, err = run_cli(capsys, "classify", "--k", "2", "--pattern", "1,0,1")
     assert code == EXIT_USAGE
@@ -863,3 +872,87 @@ def test_output_file_redirect(tmp_path, capsys):
     assert code == EXIT_OK
     assert stdout == ""
     assert json.loads(out.read_text())["k_star"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("sweep", "--config", "{dir}"), "{dir}"),
+        (("sweep", "--preset", "fig4b", "--out", "{dir}"), "{dir}"),
+        (("sweep", "--preset", "fig4b", "--out", "/dev/null/x.csv"), "/dev/null"),
+        (("transducer", "--zeta-m", "0.9", "--zeta-o", "0.8", "--C", "1", "--nth", "0.1",
+          "--out", "/nonexistent/x.json"), "/nonexistent/x.json"),
+        (("fidelity", "swap", "--eta", "0.6", "--nbar", "0.1", "--k", "2", "--out", "{dir}"),
+         "{dir}"),
+    ],
+)
+def test_unreadable_or_unwritable_path_is_usage_error(tmp_path, capsys, argv, named):
+    code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("file error: ")
+    assert named.format(dir=tmp_path) in err
+
+
+# The parser is built once per process; each query must see only its own options.
+
+
+def test_build_parser_is_shared():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_options_between_queries(capsys):
+    channel = ("--eta", "0.6", "--nbar", "0.1")
+    code, out, err = run_cli(
+        capsys, "fidelity", "swap", *channel, "--k", "2", "--n", "2", "--method", "oracle",
+        "--json",
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["n"], doc["method"]) == (2, "oracle")
+    code, out, err = run_cli(capsys, "fidelity", "swap", *channel, "--k", "3", "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["n"], doc["method"]) == (1, "analytic")
+
+
+def test_shared_parser_noise_option_does_not_persist(capsys):
+    nbar_query = ("fidelity", "swap", "--eta", "0.6", "--nbar", "0.1", "--k", "2", "--json")
+    code, first, err = run_cli(capsys, *nbar_query)
+    assert code == EXIT_OK
+    code, out, err = run_cli(
+        capsys, "fidelity", "swap", "--eta", "0.6", "--N", "0.5", "--k", "2", "--json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["N"] == 0.5
+    code, again, err = run_cli(capsys, *nbar_query)
+    assert code == EXIT_OK
+    assert again == first
+
+
+def test_shared_parser_out_does_not_persist(tmp_path, capsys):
+    argv = ("optimal-k", "--eta", "0.8", "--nbar", "0.1", "--json")
+    out_file = tmp_path / "result.json"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == EXIT_OK
+    assert stdout == ""
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(stdout) == json.loads(out_file.read_text())
+
+
+def test_shared_parser_repeats_usage_errors_identically(capsys):
+    argv = ("fidelity", "swap", "--eta", "0.6", "--wat", "1")
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == EXIT_USAGE
+    assert first == second
+
+
+def test_shared_parser_valid_classify_after_a_failing_one(capsys):
+    code, out, err = run_cli(capsys, "classify", "--k", "2", "--pattern", "1,0,1")
+    assert code == EXIT_USAGE
+    code, out, err = run_cli(capsys, "classify", "--k", "2", "--pattern", "1,0,1,0", "--json")
+    assert code == EXIT_OK
+    assert err == ""
+    assert json.loads(out)["class"] == "PhiPlus"
