@@ -46,16 +46,17 @@ BOLTZMANN = 1.380649e-23
 # constructed in floating point can sit a rounding error below the line.
 PHYSICALITY_TOL = 1e-12
 
-# apply_channel_oracle adds environment levels up to this many. _mixing_unitary
-# caches 128 entries of 16 d_box^3 bytes (d_box = d_sys + d_env - 1): about
-# 16 MB at d_sys = 5 and 16 levels, which reach nbar = 0.57 at tail_tol 1e-7.
+# apply_channel_oracle adds environment levels up to this many, which reach
+# nbar = 0.57 at tail_tol 1e-7. _mixing_unitary caches 128 entries of 16 d_box^3
+# bytes (d_box = d_sys + d_env - 1): at most 28 MB at the d_sys <= 2n + 5 = 9
+# of a scalar call at n = 2 (states.sized).
 D_ENV_MAX = 16
 
 # apply_channels_oracle maps at most this many channels at once. One channel
-# there costs at most about 340 KB, at d_box = 20 (n = 2, 16 levels): its
-# sector blocks (16 d_box^3 bytes, 128 KB) and three copies of its Kraus
-# elements (gathered, weighted and conjugated; 18 x 16 x 5 x 3 complex,
-# 69 KB each). So a block stays under 11 MB.
+# there costs its sector blocks (16 d_box^3 bytes) and three copies of its
+# Kraus elements (gathered, weighted and conjugated). Batched sections run at
+# d_sys = d_in = n + 1: at n = 2 and 16 levels, 93 KB and 3 x 18 x 16 x 3 x 3
+# complex (41 KB), so a block stays under 7 MB.
 KRAUS_BLOCK = 32
 
 
@@ -291,11 +292,12 @@ def environment_levels(nbar: float, cfg: TruncationConfig) -> int:
     TruncationError.
     """
     d_env = cfg.d_env
-    while (tail := thermal_tail_mass(nbar, d_env)) > cfg.tail_tol:
+    # not <=, so that the NaN tail of an overflowed nbar = inf is refused too
+    while not (tail := thermal_tail_mass(nbar, d_env)) <= cfg.tail_tol:
         if d_env >= D_ENV_MAX:
             raise TruncationError(
-                f"environment tail mass {tail:.3e} exceeds tail_tol {cfg.tail_tol:.1e} "
-                f"at nbar = {nbar:.4f} even with {d_env} levels (at most {D_ENV_MAX})"
+                f"environment tail mass {tail:.3e} is not within tail_tol {cfg.tail_tol:.1e} "
+                f"at nbar = {nbar:.4g} even with {d_env} levels (at most {D_ENV_MAX})"
             )
         d_env += 1
     return d_env
@@ -350,9 +352,8 @@ def apply_channels_oracle(
 
     The output is returned at cfg.d_sys levels without renormalization.
     Entries inside the returned corner are exact up to the environment
-    tail; only the mass that genuinely spread above d_sys - 1 is missing
-    from the trace, so give d_sys headroom above the input support when the
-    full output distribution matters.
+    tail, whatever d_sys is; only the mass that genuinely spread above
+    d_sys - 1 is missing from the trace.
 
     Works on any operator, not only densities: the map is linear, which is
     what lets hybrid states be pushed through block by block.

@@ -21,17 +21,19 @@ calls: per photon number, one (distinct channels x distinct k) array, whose
 channel images come from one Kraus kernel call per environment size, and
 whose optimal_k scan is one (channels x k) array; a ``fidelity`` query runs
 the same steps through the one-point API (heralded_state,
-state_fidelity_oracle).
+state_fidelity_oracle). The oracle sizes its own Fock space, so every
+call takes the one ``TRUNCATION``.
 
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
 parameters (the physicality margin is reported, never clamped), 3 request
 intractable for the oracle: an environment beyond 16 levels (nbar above
-about 0.57), or a herald (swap quantities; state fidelity has none) of
-k > 1,023 bins, where no herald weight is a normal double (K0 < 2^(1 - k));
-or an impossible herald: on the closed-form path only eta = 0 at pure loss
-(a K0 that underflows is not impossible), on the oracle path a weight 0 to
-rounding. Where only the oracle refuses, ``fidelity --method both`` prints
-the closed-form block and the oracle's one-line reason, and exits 3.
+about 0.57, or one that overflows to inf), or a herald (swap quantities;
+state fidelity has none) of k > 1,023 bins, where no herald weight is a
+normal double (K0 < 2^(1 - k)); or an impossible herald: on the closed-form
+path only eta = 0 at pure loss (a K0 that underflows is not impossible), on
+the oracle path a weight 0 to rounding. Where only the oracle refuses,
+``fidelity --method both`` prints the closed-form block and the oracle's
+one-line reason, and exits 3.
 Channel options on the command line are held to the same domains as sweep
 configs. A file the CLI cannot read or write (a directory, a missing
 parent) is a usage error: exit 1 with one stderr line naming the path.
@@ -406,10 +408,6 @@ def _spec(q: dict[str, Any]) -> QubitTimeBinSpec:
     return QubitTimeBinSpec(k=int(q["k"]), n=int(q.get("n", 1)))
 
 
-def _truncation(q: dict[str, Any]) -> TruncationConfig:
-    return TruncationConfig.for_encoding(int(q.get("n", 1)))
-
-
 def _k_max(q: dict[str, Any]) -> int:
     return int(q.get("k_max", DEFAULT_K_MAX))
 
@@ -455,6 +453,8 @@ def _swap_analytic(s: _Points, column: str) -> tuple[np.ndarray, SwapFidelityRes
     return getattr(result, column), result
 
 
+TRUNCATION = TruncationConfig()  # for every n: the oracle sizes its system modes
+
 # The oracle evaluates at most this many (channel, k) heralds at once. One
 # costs about 1.5 KB there: its 16 complex log weights (256 B), their
 # exponent, the state and its temporaries (about 5 x 256 B more), so a
@@ -491,9 +491,8 @@ def _row_blocks(channels: list[ChannelParams], width: int) -> Iterable[slice]:
 
 def _herald_fidelities(n: int, channels: list[ChannelParams], ks: np.ndarray) -> np.ndarray:
     """Oracle swap fidelity of the canonical n-photon herald over (channels x ks)."""
-    cfg = TruncationConfig.for_encoding(n)
     blocks = _row_blocks(channels, ks.size)
-    return np.concatenate([canonical_heralds(n, channels[b], ks, cfg)[0] for b in blocks])
+    return np.concatenate([canonical_heralds(n, channels[b], ks, TRUNCATION)[0] for b in blocks])
 
 
 def _oracle_optimal_k(channels: list[ChannelParams], k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -502,10 +501,9 @@ def _oracle_optimal_k(channels: list[ChannelParams], k_max: int) -> tuple[np.nda
     ORACLE_BLOCK elements at a time. A scan ends at the first k > 1 whose
     weight is below the smallest normal double; ties by the same rule."""
     ks = np.arange(1, min(k_max, MAX_BINS) + 1)
-    cfg = TruncationConfig.for_encoding(1)
     k_star, best = np.empty(len(channels), dtype=int), np.empty(len(channels))
     for block in _row_blocks(channels, ks.size):
-        fid, log_k0 = canonical_heralds(1, channels[block], ks, cfg)
+        fid, log_k0 = canonical_heralds(1, channels[block], ks, TRUNCATION)
         inside = log_k0 >= LOG_MIN
         inside[:, 0] = True
         inside = np.logical_and.accumulate(inside, axis=1)
@@ -518,14 +516,14 @@ def _oracle_optimal_k(channels: list[ChannelParams], k_max: int) -> tuple[np.nda
 def _oracle_point(kind: str, p: ChannelParams, q: dict[str, Any]) -> tuple[float, float | None]:
     """One oracle fidelity, state or swap, and the swap's log K0: the
     one-point API, as fidelity queries use it."""
-    spec, cfg = _spec(q), _truncation(q)
+    spec = _spec(q)
     if kind == "state":
-        return state_fidelity_oracle(spec, p, cfg), None
+        return state_fidelity_oracle(spec, p, TRUNCATION), None
     if spec.n == 1:
         pattern = DetectionPattern.canonical(spec.k)
     else:
         pattern = DetectionPattern(k=2, counts=((2, 0), (2, 0)))
-    h = heralded_state(p, p, spec, pattern, cfg)
+    h = heralded_state(p, p, spec, pattern, TRUNCATION)
     return h.fidelity_phi_plus, h.log_success_probability
 
 
@@ -553,8 +551,7 @@ class Quantity:
 QUANTITIES: dict[str, Quantity] = {
     "state_fidelity": Quantity(
         lambda s: (state_fidelity_analytic(s, s.channels), None),
-        _oracle_grid(lambda n, channels, ks: state_fidelities(
-            n, channels, ks, TruncationConfig.for_encoding(n))),
+        _oracle_grid(lambda n, channels, ks: state_fidelities(n, channels, ks, TRUNCATION)),
         takes_k=True,
         analytic_n2=False,
     ),

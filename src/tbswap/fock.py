@@ -36,10 +36,11 @@ class TruncationError(RuntimeError):
 class TruncationConfig:
     """Cutoff bookkeeping for the brute-force (oracle) code paths.
 
-    d_sys is the per-mode dimension of system states, d_env the fewest levels
-    of the thermal environment mode fed into the channel dilation (the oracle
-    adds levels until the tail fits), and tail_tol the largest thermal tail
-    mass we are willing to discard silently.
+    d_sys is the output size of the oracle calls that return operators, any
+    d_sys >= n + 1 for n photons; scalar calls size themselves (states.sized).
+    d_env is the fewest levels of the thermal environment mode fed into the
+    channel dilation (the oracle adds levels until the tail fits), and
+    tail_tol the largest thermal tail mass we are willing to discard silently.
     """
 
     d_sys: int = 4
@@ -187,8 +188,8 @@ def thermal_state(nbar: float, d: int) -> ModeOperator:
 _BS_SINGLE_PARTICLE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-# beam_splitter_unitary caches 8 entries of 16 d^4 bytes: 4 and 10 KB at the
-# d_sys = 4 and 5 of one- and two-photon encodings, 1.3 MB if all were d = 10.
+# beam_splitter_unitary caches 8 entries of 16 d^4 bytes at d <= 2n + 5
+# (states.sized): 256 B and 1.3 KB at the canonical d = 2 and 3, 105 KB at 9.
 @lru_cache(maxsize=8)
 def beam_splitter_unitary(d: int) -> MultiModeOperator:
     """Balanced beam splitter on two d-level modes.

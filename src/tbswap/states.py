@@ -23,7 +23,7 @@ each other, and neither is derived from the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -170,14 +170,22 @@ def ideal_state(spec: QubitTimeBinSpec, d: int | None = None) -> HybridDensity:
     return HybridDensity(spec.k, _even_bin_ops(spec.n, d))
 
 
+def sized(cfg: TruncationConfig, n: int, counts: Sequence = ()) -> TruncationConfig:
+    """cfg at the oracle's one system size, max(n, largest a + b) + 1 levels,
+    for n-photon bins and heralds of per-bin counts (a, b). A scalar reads
+    Fock levels up to n (the ideal overlap) or a + b (the beam splitter's
+    sector), and channel images are exact in any corner, so no scalar the
+    oracle returns reads the caller's cfg.d_sys."""
+    return replace(cfg, d_sys=max([n, *(a + b for a, b in counts)]) + 1)
+
+
 def channel_images(
     n: int, channels: Sequence[ChannelParams], cfg: TruncationConfig
 ) -> np.ndarray:
     """Oracle images of the even bin under a stack of channels, (C, 2, 2,
-    d_sys, d_sys): entry [c, q, q'] is channel c applied to |v_q><v_q'| (see
-    _even_bin_ops). The four operators and every channel go through one
-    apply_channels_oracle call."""
-    _check_headroom(n, cfg)
+    d_sys, d_sys), for any cfg.d_sys >= n + 1: entry [c, q, q'] is channel c
+    applied to |v_q><v_q'| (see _even_bin_ops). The four operators and every
+    channel go through one apply_channels_oracle call."""
     d_in = n + 1
     images = apply_channels_oracle(_even_bin_ops(n, d_in).reshape(4, d_in, d_in), channels, cfg)
     return images.reshape(len(channels), 2, 2, cfg.d_sys, cfg.d_sys)
@@ -189,16 +197,8 @@ def state_fidelities(
     """state_fidelity_oracle over (channels x bin counts ks), one (C, K)
     array: each channel's even-bin overlap with the ideal state, raised to
     the powers of every k at once."""
-    per_bin = _bin_overlaps(channel_images(n, channels, cfg), _even_bin_ops(n, n + 1))
+    per_bin = _bin_overlaps(channel_images(n, channels, sized(cfg, n)), _even_bin_ops(n, n + 1))
     return _contract(per_bin[:, None], np.asarray(ks)[None, :])
-
-
-def _check_headroom(n: int, cfg: TruncationConfig) -> None:
-    if cfg.d_sys < n + 2:
-        raise ValueError(
-            f"d_sys = {cfg.d_sys} leaves no headroom above the {n}-photon encoding; "
-            f"need at least {n + 2}"
-        )
 
 
 @lru_cache(maxsize=128)
@@ -228,9 +228,8 @@ def channel_output(
     (|n><n|, |0><0|, |n><0|, |0><n|), whatever k is. They are the output's
     even bin, cached per (n, channel, truncation) in a bounded cache, so
     calls that differ only in k reuse them. Time and memory do not depend
-    on k.
+    on k. The bins have cfg.d_sys >= n + 1 levels.
     """
-    _check_headroom(spec.n, cfg)
     return HybridDensity(spec.k, _channel_images(spec.n, p, cfg))
 
 
@@ -242,5 +241,5 @@ def state_fidelity_oracle(
     Independent of analytic.state_fidelity_analytic; the channel enters only
     through apply_channel_oracle.
     """
-    out = channel_output(spec, p, cfg)
+    out = channel_output(spec, p, sized(cfg, spec.n))
     return out.contract(ideal_state(spec))

@@ -50,7 +50,7 @@ from .fock import (
     number_projector,
     tensor,
 )
-from .states import NORM, QubitTimeBinSpec, channel_images, channel_output
+from .states import NORM, QubitTimeBinSpec, channel_images, channel_output, sized
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -302,18 +302,17 @@ def heralded_state(
     This is the one-point view of canonical_heralds' steps: one trace tensor
     per distinct (bin parity, counts) pair (two for the canonical pattern,
     at most four for any one-photon-per-bin pattern), and O(k) only in
-    counting them; the channel images come from channel_output's cache.
-    More than MAX_BINS bins raise TruncationError.
+    counting them; the channel images come from channel_output's cache, at
+    states.sized's size, at most 2n + 5: a count above n + 2 at a port, or
+    more than MAX_BINS bins, raise TruncationError.
     """
     if pattern.k != spec.k:
         raise ValueError(f"pattern has {pattern.k} bins, encoding has {spec.k}")
     check_bins(pattern.k)
-    d = cfg.d_sys
-    highest = max(max(a, b) for a, b in pattern.counts)
-    if highest >= d:
-        raise TruncationError(
-            f"pattern counts reach {highest} photons; raise d_sys above {d} to resolve them"
-        )
+    if (highest := max(map(max, pattern.counts))) > spec.n + 2:
+        raise TruncationError(f"pattern counts reach {highest} photons; the oracle resolves "
+                              f"at most {spec.n + 2} at a port for n = {spec.n}")
+    cfg = sized(cfg, spec.n, pattern.counts)
     out_a = channel_output(spec, p_A, cfg)
     out_b = out_a if p_B == p_A else channel_output(spec, p_B, cfg)
 
@@ -344,7 +343,7 @@ def canonical_heralds(
     """
     ks = np.asarray(ks)
     check_bins(int(ks[np.argmax(ks > MAX_BINS)]))  # the first k past the limit, if any
-    images = channel_images(n, channels, cfg)
+    images = channel_images(n, channels, sized(cfg, n))
     mult = np.stack([(ks + 1) // 2, ks // 2], axis=-1).astype(float)
     bins = ((0, (n, 0)), (1, (n, 0)))
     logs = _herald_logs(images, images, bins, mult).swapaxes(0, 1)

@@ -122,7 +122,7 @@ def test_criterion_03_transducer_grid_improvements():
 
 
 def test_criterion_04_oracle_equivalence():
-    cfg1 = TruncationConfig(d_sys=4, d_env=8)
+    cfg1 = TruncationConfig(d_env=8)
     for k, nbar, eta in itertools.product((1, 2, 3, 4), (0.0, 0.1), (0.5, 0.8)):
         p = ChannelParams.from_eta_nbar(eta, nbar)
         closed = swap_fidelity_k(p, k)
@@ -132,7 +132,7 @@ def test_criterion_04_oracle_equivalence():
         assert abs(closed.fidelity - out.fidelity_phi_plus) < TOL_ORACLE, (k, nbar, eta)
         assert abs(closed.K0 - out.success_probability) < TOL_ORACLE, (k, nbar, eta)
 
-    cfg2 = TruncationConfig(d_sys=5, d_env=8)
+    cfg2 = TruncationConfig(d_env=8)
     p = ChannelParams.from_eta_nbar(0.8, 0.05)
     closed = swap_fidelity_n2(p)
     out = heralded_state(
@@ -246,7 +246,7 @@ def test_criterion_08_thermal_calibration():
 
 
 def test_criterion_09_structural_components():
-    cfg = TruncationConfig(d_sys=5, d_env=8)
+    cfg = TruncationConfig(d_env=8)
     for eta in (0.5, 0.7, 0.9):
         for nbar in (0.05, 0.15):
             for k in (1, 2, 3):

@@ -207,7 +207,7 @@ def test_rho_components_pure_loss():
 
 
 def test_rho_components_match_oracle():
-    cfg = TruncationConfig(d_sys=5, d_env=8)
+    cfg = TruncationConfig(d_env=8)
     for eta, nbar, k in ((0.6, 0.1, 2), (0.8, 0.05, 3)):
         p = ChannelParams.from_eta_nbar(eta, nbar)
         out = heralded_state(p, p, QubitTimeBinSpec(k=k), DetectionPattern.canonical(k), cfg)
@@ -250,7 +250,7 @@ def test_optimal_k_respects_k_max():
 
 
 def test_swap_matches_heralded_oracle():
-    cfg = TruncationConfig(d_sys=5, d_env=8)
+    cfg = TruncationConfig(d_env=8)
     for eta in (0.5, 0.8):
         for nbar in (0.0, 0.1):
             p = ChannelParams.from_eta_nbar(eta, nbar)

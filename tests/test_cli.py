@@ -347,6 +347,38 @@ def test_fidelity_truncation_refusal_exits_intractable(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_overflowed_environment_occupation_is_refused(capsys, tmp_path):
+    # N = 1e308 at eta 0.6 gives nbar = inf, whose thermal tail is NaN: the
+    # oracle refuses it (exit 3) instead of printing a NaN fidelity
+    channel = ("--eta", "0.6", "--N", "1e308", "--k", "2")
+    code, out, err = run_cli(capsys, "fidelity", "swap", *channel, "--method", "both", "--json")
+    assert code == EXIT_INTRACTABLE
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["analytic"]["fidelity"] == pytest.approx(0.25)
+    assert doc["oracle"] == {"refused": err.strip()}
+    assert "delta" not in doc and "nbar = inf" in err
+    code, out, err = run_cli(capsys, "fidelity", "state", *channel, "--method", "oracle")
+    assert code == EXIT_INTRACTABLE
+    assert out == "" and len(err.strip().splitlines()) == 1
+    # a huge finite occupation is printed short
+    code, out, err = run_cli(capsys, "fidelity", "swap", "--eta", "0.6", "--nbar", "1e307",
+                             "--k", "2", "--method", "oracle")
+    assert code == EXIT_INTRACTABLE
+    assert "nbar = 1e+307 " in err
+    config = {
+        "quantity": "swap_fidelity",
+        "axis1": {"name": "eta", "values": [0.6]},
+        "fixed": {"N": 1e308, "k": 2},
+        "method": "oracle",
+        "out": str(tmp_path / "overflow.csv"),
+    }
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == EXIT_INTRACTABLE
+    assert "nbar = inf" in err and len(err.strip().splitlines()) == 1
+
+
 def test_fidelity_both_keeps_closed_form_when_only_the_oracle_refuses(capsys):
     # eta 1e-20 at pure loss: K0 is 1.25e-41, not 0, so the closed form gives
     # F = 1; the oracle's herald weight is 0 to rounding

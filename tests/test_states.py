@@ -172,12 +172,17 @@ def test_channel_output_two_photon_blocks():
     )
 
 
-def test_channel_output_needs_headroom():
-    with pytest.raises(ValueError, match="headroom"):
-        channel_output(
-            QubitTimeBinSpec(k=2), ChannelParams.from_eta_nbar(0.5, 0.1),
-            TruncationConfig(d_sys=2, d_env=8),
-        )
+def test_channel_output_holds_the_encoding_at_n_plus_one_levels():
+    """d_sys is only the output size: n + 1 levels hold the n-photon bins,
+    and n levels cannot take them as input."""
+    p = ChannelParams.from_eta_nbar(0.5, 0.1)
+    for n, k in ((1, 3), (2, 2)):
+        spec = QubitTimeBinSpec(k=k, n=n)
+        out = channel_output(spec, p, TruncationConfig(d_sys=n + 1, d_env=8))
+        roomy = channel_output(spec, p, TruncationConfig(d_sys=n + 3, d_env=8))
+        np.testing.assert_allclose(out.even, roomy.even[..., : n + 1, : n + 1], atol=1e-15)
+    with pytest.raises(ValueError, match="input dimension 3 exceeds cfg.d_sys = 2"):
+        channel_output(QubitTimeBinSpec(k=2, n=2), p, TruncationConfig(d_sys=2, d_env=8))
 
 
 def test_analytic_fidelity_identity_is_exactly_one():
@@ -287,7 +292,7 @@ def test_fidelity_paths_agree_random(eta, nbar, k):
     a = state_fidelity_analytic(spec, p)
     # d_env deep enough that the geometric tail clears the guard for any
     # occupation this test draws
-    o = state_fidelity_oracle(spec, p, TruncationConfig(d_sys=4, d_env=14))
+    o = state_fidelity_oracle(spec, p, TruncationConfig(d_env=14))
     assert 0.0 <= a <= 1.0 + 1e-12
     assert o == pytest.approx(a, abs=PATH_EQUIVALENCE_TOL)
 

@@ -549,6 +549,28 @@ def test_heralded_state_matches_unshared_reference(p_a, p_b):
         assert got.success_probability == pytest.approx(success, rel=0.0, abs=CONTRACTION_TOL)
 
 
+@pytest.mark.parametrize("n, counts", [
+    (1, ((2, 2),)),
+    (1, ((2, 2), (0, 0))),
+    (2, ((4, 4), (0, 0))),
+    (2, ((3, 2), (0, 0))),
+])
+def test_heralded_state_resolves_bin_totals_past_the_encoding_size(n, counts):
+    """The beam splitter reads the sector of a + b photons, so a bin's total,
+    not its larger count, must fit the Fock space. With the size taken from
+    cfg.d_sys = n + 3, ((2, 2),) at n = 1 gave F = 0.0413 against 0.1002.
+    heralded_state sizes itself from the pattern and matches every bin
+    contracted densely on d_sys = 10 channel outputs."""
+    p = ChannelParams.from_eta_nbar(0.6, 0.1)
+    spec, pattern = QubitTimeBinSpec(k=len(counts), n=n), DetectionPattern(len(counts), counts)
+    rho, success = heralded_reference(p, p, spec, pattern, TruncationConfig(d_sys=10))
+    got = heralded_state(p, p, spec, pattern, TruncationConfig.for_encoding(n))
+    np.testing.assert_allclose(got.rho, rho, rtol=0.0, atol=1e-12)
+    fidelity = (PHI_PLUS @ rho @ PHI_PLUS).real
+    assert got.fidelity_phi_plus == pytest.approx(fidelity, rel=0.0, abs=1e-12)
+    assert got.log_success_probability == pytest.approx(math.log(success), rel=0.0, abs=1e-12)
+
+
 def test_heralded_weight_stays_in_log_form_for_unequal_channels():
     """2m canonical bins multiply the two-bin product entry by entry m times.
     At m = 400 its weight underflows doubles; the heralded state and its log
