@@ -166,12 +166,25 @@ def _bins(eta: np.ndarray, t: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ..
     return a1, pl, odd, extra, big, rk_m1, log_k0
 
 
-def state_fidelity_analytic(spec, p: ChannelParams) -> float:
-    """Closed-form transfer fidelity F(k, eta, N) for single-photon encodings.
+def _photon_sums(n: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_i C(n, i)^2 q^i s^(n - i) for each point's n >= 1: nonnegative
+    terms, each the exp of its logarithm, so no binomial overflows."""
+    i = np.arange(n.max() + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[1:]))))
+    n, s, q = n[:, None], s[:, None], q[:, None]
+    rest = np.maximum(n - i, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf; 0 log 0 is masked
+        log_terms = 2.0 * (log_fact[n] - log_fact[i] - log_fact[rest]) + np.where(
+            i > 0, i * np.log(q), 0.0) + np.where(rest > 0, rest * np.log(s), 0.0)
+    return np.where(i <= n, np.exp(log_terms), 0.0).sum(axis=-1)
 
-    spec is a states.QubitTimeBinSpec, or anything with k and n; only those
-    are read. With t = (1 + eta)/2 + N, the per-bin channel matrix elements
-    combine to
+
+def state_fidelity_analytic(spec, p: ChannelParams) -> float:
+    """Closed-form transfer fidelity F(k, n, eta, N) of the time-bin encodings.
+
+    spec is a states.QubitTimeBinSpec, or anything with k and n (numbers or
+    arrays; n broadcasts to the shape of k and p); only those are read, and
+    n > 1 only at k = 2. With t = (1 + eta)/2 + N, single photons (n = 1) give
 
         F = (1/2) [ (t^2 + 2 eta - t(1 + eta)) / t^4 ]^(k/2) + eta^(k/2) / (2 t^(2k))
 
@@ -179,15 +192,34 @@ def state_fidelity_analytic(spec, p: ChannelParams) -> float:
     [...]^l (2t^2 + 2 eta - t(1 + eta)) / (4 t^3). In u = 1/t the bracket is
     (s + q) u^2, the odd factor u (1 + s + q)/4 and the last term
     (sqrt(q) u)^k/2. Both collapse to 1 on the identity channel.
+
+    n photons in two bins, from characteristic functions: the channel maps
+    chi(xi) to chi(sqrt(eta) xi) e^(-N |xi|^2), Tr(rho sigma) =
+    (1/pi) int chi_rho(xi) chi_sigma(-xi) d^2 xi, and |n><n| has chi =
+    e^(-|xi|^2/2) L_n(|xi|^2). Over x = |xi|^2, P_nn = <n|E(|n><n|)|n> =
+    int_0^inf e^(-t x) L_n(eta x) L_n(x) dx = u sum_i C(n, i)^2 q^i s^(n - i),
+    <0|E(|0><0|)|0> = 1/t and <n|E(|n><0|)|0> = eta^(n/2)/t^(n+1); two
+    population and two coherence terms, of weight 1/4 each, give
+
+        F = P_nn/(2t) + eta^n/(2 t^(2n+2)) = (u^2/2) [ sum_i C(n, i)^2 q^i s^(n - i) + q^n ],
+
+    nonnegative terms. At n = 1 it is the even form at k = 2, which n = 1
+    points keep.
     """
-    if (np.asarray(spec.n) != 1).any():
-        raise ValueError("closed form covers single-photon encodings only (n = 1)")
     shape, eta, t, k = _flat(p, spec.k)
     _, u, _, _, s, q = _terms(eta, t)
     half, odd = np.divmod(k, 2)
     base = np.power((s + q) * u * u, half)
     coh = 0.5 * np.power(np.sqrt(q) * u, k)
-    return _out(shape, np.where(odd == 1, 0.25 * base * u * (1.0 + s + q), 0.5 * base) + coh)[0]
+    fid = np.where(odd == 1, 0.25 * base * u * (1.0 + s + q), 0.5 * base) + coh
+    if (np.asarray(spec.n) != 1).any():
+        n = np.broadcast_to(spec.n, shape).ravel()
+        many = n != 1
+        if ((n[many] < 1) | (k[many] != 2)).any():
+            raise ValueError("need n >= 1 photons, and n > 1 only at k = 2")
+        n, u, s, q = n[many], u[many], s[many], q[many]
+        fid[many] = 0.5 * u * u * (_photon_sums(n, s, q) + np.power(q, n))
+    return _out(shape, fid)[0]
 
 
 def swap_fidelity_k(p: ChannelParams, k: int) -> SwapFidelityResult:

@@ -292,7 +292,7 @@ def environment_levels(nbar: float, cfg: TruncationConfig) -> int:
     TruncationError.
     """
     d_env = cfg.d_env
-    # not <=, so that the NaN tail of an overflowed nbar = inf is refused too
+    # not <=, so that a NaN tail is refused too
     while not (tail := thermal_tail_mass(nbar, d_env)) <= cfg.tail_tol:
         if d_env >= D_ENV_MAX:
             raise TruncationError(

@@ -15,14 +15,15 @@ Subcommands:
 
 Every quantity that ``fidelity`` and ``sweep`` evaluate is one entry of
 ``QUANTITIES``: its closed-form call, its oracle call, and the parameters it
-takes, which config validation reads. The closed form evaluates a whole
-section in one array call. The oracle evaluates a section in a few batched
-calls: per photon number, one (distinct channels x distinct k) array, whose
-channel images come from one Kraus kernel call per environment size, and
-whose optimal_k scan is one (channels x k) array; a ``fidelity`` query runs
-the same steps through the one-point API (heralded_state,
-state_fidelity_oracle). The oracle sizes its own Fock space, so every
-call takes the one ``TRUNCATION``.
+takes, which config validation reads. Every quantity that takes a photon
+number runs at n = 1 and at n = 2 (two bins, k = 2) by every method, state
+fidelity included. The closed form evaluates a whole section in one array
+call. The oracle evaluates a section in a few batched calls: per photon
+number, one (distinct channels x distinct k) array, whose channel images
+come from one Kraus kernel call per environment size, and whose optimal_k
+scan is one (channels x k) array; a ``fidelity`` query runs the same steps
+through the one-point API (heralded_state, state_fidelity_oracle). The
+oracle sizes its own Fock space, so every call takes the one ``TRUNCATION``.
 
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
 parameters (the physicality margin is reported, never clamped), 3 request
@@ -376,13 +377,8 @@ def _check_parameter_closure(section: SweepSection) -> list[str]:
     if "k_max" in fixed and not entry.scans_k:
         violations.append(f"config: {quantity} does not scan k; k_max must not be set")
 
-    if 2 in _values_of(section, "n"):
-        if any(kv != 2 for kv in _values_of(section, "k")):
-            violations.append("config: n = 2 encodings are two-bin; every k must be 2")
-        if not entry.analytic_n2 and section.method != "oracle":
-            violations.append(
-                f"config: {quantity} has no closed form for n = 2; use method oracle"
-            )
+    if 2 in _values_of(section, "n") and any(kv != 2 for kv in _values_of(section, "k")):
+        violations.append("config: n = 2 encodings are two-bin; every k must be 2")
     return violations
 
 
@@ -402,14 +398,6 @@ def _channel_for(params: dict[str, Any]) -> ChannelParams:
     if "N" in params:
         return ChannelParams(eta=params["eta"], N=params["N"])
     return ChannelParams.from_eta_nbar(params["eta"], params["nbar"])
-
-
-def _spec(q: dict[str, Any]) -> QubitTimeBinSpec:
-    return QubitTimeBinSpec(k=int(q["k"]), n=int(q.get("n", 1)))
-
-
-def _k_max(q: dict[str, Any]) -> int:
-    return int(q.get("k_max", DEFAULT_K_MAX))
 
 
 class _Points(NamedTuple):
@@ -432,7 +420,7 @@ def _points(points: list[dict[str, Any]]) -> _Points:
         params,
         np.array([int(q.get("k", 1)) for q in points]),
         np.array([int(q.get("n", 1)) for q in points]),
-        _k_max(points[0]),
+        int(points[0].get("k_max", DEFAULT_K_MAX)),
     )
 
 
@@ -513,10 +501,10 @@ def _oracle_optimal_k(channels: list[ChannelParams], k_max: int) -> tuple[np.nda
     return k_star, best
 
 
-def _oracle_point(kind: str, p: ChannelParams, q: dict[str, Any]) -> tuple[float, float | None]:
+def _oracle_point(kind: str, p: ChannelParams,
+                  spec: QubitTimeBinSpec) -> tuple[float, float | None]:
     """One oracle fidelity, state or swap, and the swap's log K0: the
     one-point API, as fidelity queries use it."""
-    spec = _spec(q)
     if kind == "state":
         return state_fidelity_oracle(spec, p, TRUNCATION), None
     if spec.n == 1:
@@ -545,7 +533,6 @@ class Quantity:
     oracle: Callable[[_Points], np.ndarray]
     takes_k: bool = False  # a per-bin quantity: needs k, accepts n
     scans_k: bool = False  # scans k = 1..k_max itself
-    analytic_n2: bool = True  # the closed form covers n = 2 encodings
 
 
 QUANTITIES: dict[str, Quantity] = {
@@ -553,7 +540,6 @@ QUANTITIES: dict[str, Quantity] = {
         lambda s: (state_fidelity_analytic(s, s.channels), None),
         _oracle_grid(lambda n, channels, ks: state_fidelities(n, channels, ks, TRUNCATION)),
         takes_k=True,
-        analytic_n2=False,
     ),
     "swap_fidelity": Quantity(
         lambda s: _swap_analytic(s, "fidelity"),
@@ -674,12 +660,21 @@ def config_hash(sections: Sequence[SweepSection]) -> str:
 
 
 def write_sweep(sections: Sequence[SweepSection], out: Path) -> int:
-    rows = run_sections(sections)
+    """Evaluate the sections into the CSV out and its sidecar; returns the row
+    count. out is opened (to append) before the work, so a path that cannot be
+    written fails first, and a sweep that raises leaves out as it was, or absent."""
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+    created = not out.exists()
+    try:
+        with open(out, "a", newline="", encoding="utf-8") as handle:
+            rows = run_sections(sections)
+            if not created:
+                handle.truncate(0)
+            csv.writer(handle, lineterminator="\n").writerows([CSV_HEADER, *rows])
+    except BaseException:
+        if created:
+            out.unlink(missing_ok=True)
+        raise
     meta = {"version": __version__, "config_hash": config_hash(sections), "tolerances": TOLERANCES}
     meta_path = out.with_suffix(".meta.json")
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -730,12 +725,8 @@ def _given(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    name = f"{args.kind}_fidelity"
-    quantity = QUANTITIES[name]
-    if args.n == 2 and args.k != 2:
-        raise CliError("n = 2 encodings are two-bin; --k must be 2")
-    if args.n == 2 and not quantity.analytic_n2 and args.method != "oracle":
-        raise CliError(f"{args.kind} fidelity has no closed form for n = 2; use --method oracle")
+    quantity = QUANTITIES[f"{args.kind}_fidelity"]
+    spec = QubitTimeBinSpec(k=args.k, n=args.n)  # refuses n = 2 at k != 2 (exit 1)
     params = _given(args)
     point = _points([params])
     p = point.params[0]
@@ -751,7 +742,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
                              log_K0=float(result.log_K0[0]))
         else:
             try:
-                fid, log_k0 = _oracle_point(args.kind, p, params)
+                fid, log_k0 = _oracle_point(args.kind, p, spec)
             except (TruncationError, ImpossibleEventError) as exc:
                 if args.method != "both":
                     raise

@@ -112,9 +112,6 @@ class MultiModeOperator:
     def dim(self) -> int:
         return math.prod(self.mode_dims)
 
-    def dagger(self) -> "MultiModeOperator":
-        return MultiModeOperator(self.mode_dims, self.entries.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
@@ -155,10 +152,13 @@ def creation(d: int) -> ModeOperator:
 def thermal_tail_mass(nbar: float, d: int) -> float:
     """Probability mass of a thermal state above the truncation, sum_{m>=d} p_m.
 
-    The geometric law gives this in closed form: (nbar / (1 + nbar))^d.
+    The geometric law gives this in closed form: (nbar / (1 + nbar))^d, whose
+    limit at nbar = inf (an overflowed occupation) is 1.
     """
     if nbar < 0:
         raise ValueError("mean occupation must be nonnegative")
+    if nbar == math.inf:
+        return 1.0
     return float((nbar / (1.0 + nbar)) ** d)
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbswap.cli as cli
 from tbswap.analytic import swap_fidelity_k, swap_fidelity_n2
 from tbswap.channel import ChannelParams
 from tbswap.cli import (
@@ -348,7 +349,7 @@ def test_fidelity_truncation_refusal_exits_intractable(capsys):
 
 
 def test_overflowed_environment_occupation_is_refused(capsys, tmp_path):
-    # N = 1e308 at eta 0.6 gives nbar = inf, whose thermal tail is NaN: the
+    # N = 1e308 at eta 0.6 gives nbar = inf, whose thermal tail is 1: the
     # oracle refuses it (exit 3) instead of printing a NaN fidelity
     channel = ("--eta", "0.6", "--N", "1e308", "--k", "2")
     code, out, err = run_cli(capsys, "fidelity", "swap", *channel, "--method", "both", "--json")
@@ -377,6 +378,14 @@ def test_overflowed_environment_occupation_is_refused(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
     assert code == EXIT_INTRACTABLE
     assert "nbar = inf" in err and len(err.strip().splitlines()) == 1
+
+
+def test_overflowed_occupation_refusal_reports_its_tail(capsys):
+    code, out, err = run_cli(capsys, "fidelity", "swap", "--eta", "0.6", "--N", "1e308",
+                             "--k", "2", "--method", "oracle")
+    assert (code, out) == (EXIT_INTRACTABLE, "")
+    assert "tail mass 1.000e+00" in err and "nan" not in err.lower()
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_fidelity_both_keeps_closed_form_when_only_the_oracle_refuses(capsys):
@@ -453,13 +462,47 @@ def test_fidelity_n2_needs_two_bins(capsys):
     assert code == EXIT_USAGE
 
 
-def test_fidelity_state_n2_needs_oracle(capsys):
+@pytest.mark.parametrize("method", ["analytic", "oracle", "both"])
+@pytest.mark.parametrize("kind", ["state", "swap"])
+def test_n2_with_other_than_two_bins_is_usage_error(capsys, tmp_path, kind, method):
+    # without the check, the closed form would print the k = 2 value
     code, out, err = run_cli(
-        capsys, "fidelity", "state", "--eta", "0.8", "--nbar", "0.05",
-        "--k", "2", "--n", "2",
+        capsys, "fidelity", kind, "--eta", "0.8", "--nbar", "0.05", "--k", "3", "--n", "2",
+        "--method", method,
     )
-    assert code == EXIT_USAGE
-    assert "oracle" in err
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines() == [
+        "invalid parameters: n = 2 > 1 is defined only for k = 2, got k = 3"]
+    config = {
+        "quantity": f"{kind}_fidelity",
+        "axis1": {"name": "k", "values": [2, 3]},
+        "fixed": {"eta": 0.8, "nbar": 0.05, "n": 2},
+        "method": method,
+        "out": str(tmp_path / "x.csv"),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert [line for line in err.splitlines() if line.startswith("  - ")] == [
+        "  - config: n = 2 encodings are two-bin; every k must be 2"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_fidelity_state_n2_runs_by_every_method(capsys):
+    channel = ("--eta", "0.6", "--nbar", "0.1", "--k", "2", "--n", "2")
+    values = {}
+    for method in ("analytic", "oracle"):
+        code, out, err = run_cli(capsys, "fidelity", "state", *channel, "--method", method,
+                                 "--json")
+        assert (code, err) == (EXIT_OK, "")
+        values[method] = json.loads(out)["fidelity"]
+    code, out, err = run_cli(capsys, "fidelity", "state", *channel, "--method", "both", "--json")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert {method: doc[method]["fidelity"] for method in values} == values
+    assert doc["delta"] <= 1e-5
+    assert values["analytic"] == pytest.approx(0.3013270759600181, rel=1e-12)
 
 
 def test_fidelity_unphysical_channel(capsys):
@@ -621,6 +664,26 @@ def test_sweep_custom_config_both_methods(tmp_path, capsys):
     oracle_vals = [float(line.split(",")[3]) for line in lines[5:9]]
     for a, o in zip(analytic_vals, oracle_vals):
         assert o == pytest.approx(a, abs=1e-5)
+
+
+def test_sweep_state_fidelity_over_photon_numbers_both_methods(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    config = {
+        "quantity": "state_fidelity",
+        "axis1": {"name": "n", "values": [1, 2]},
+        "axis2": {"name": "eta", "values": [0.6, 0.9]},
+        "fixed": {"k": 2, "nbar": 0.1},
+        "method": "both",
+        "out": str(out),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(capsys, "sweep", "--config", str(cfg_path))[0] == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[4]) for row in rows] == [
+        (n, method) for method in ("analytic", "oracle") for n in "1122"]
+    values = [float(row[3]) for row in rows]
+    assert values[:4] == pytest.approx(values[4:], abs=1e-5)
 
 
 def test_sweep_config_optimal_k_pair_both_methods(tmp_path, capsys):
@@ -924,6 +987,42 @@ def test_unreadable_or_unwritable_path_is_usage_error(tmp_path, capsys, argv, na
     assert len(err.splitlines()) == 1
     assert err.startswith("file error: ")
     assert named.format(dir=tmp_path) in err
+
+
+def test_sweep_unwritable_out_fails_before_evaluating(tmp_path, capsys, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(cli, "run_sections", lambda sections: evaluated.append(sections))
+    code, out, err = run_cli(capsys, "sweep", "--preset", "fig5b", "--out", str(tmp_path))
+    assert (code, out, evaluated) == (EXIT_USAGE, "", [])
+    assert err.startswith("file error: ") and len(err.splitlines()) == 1
+
+
+def test_refused_sweep_leaves_out_as_it_was(tmp_path, capsys):
+    config = {
+        "quantity": "swap_fidelity",
+        "axis1": {"name": "nbar", "values": [0.1, 1.0]},
+        "fixed": {"eta": 0.6, "k": 2},
+        "method": "both",
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "rows.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out))
+    assert code == EXIT_INTRACTABLE and "tail mass" in err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+    out.write_bytes(b"kept\n")
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out))
+    assert code == EXIT_INTRACTABLE
+    assert out.read_bytes() == b"kept\n"
+    assert not out.with_suffix(".meta.json").exists()
+
+
+def test_sweep_over_a_longer_file_writes_the_same_bytes(tmp_path, capsys):
+    fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
+    stale.write_bytes(b"x" * 100_000)
+    for out in (fresh, stale):
+        assert run_cli(capsys, "sweep", "--preset", "fig4b", "--out", str(out))[0] == EXIT_OK
+    assert stale.read_bytes() == fresh.read_bytes()
 
 
 # The parser is built once per process; each query must see only its own options.

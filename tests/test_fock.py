@@ -94,6 +94,7 @@ def test_thermal_state_shape_and_mean():
 
 def test_thermal_tail_mass_closed_form():
     assert thermal_tail_mass(0.0, 5) == 0.0
+    assert thermal_tail_mass(math.inf, 8) == 1.0  # the limit, not inf/inf
     nbar, d = 0.4, 8
     r = nbar / (1.0 + nbar)
     direct = sum(r**m / (1.0 + nbar) for m in range(d, 400))

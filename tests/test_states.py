@@ -5,15 +5,18 @@ import contextlib
 import io
 import math
 import tracemalloc
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbswap.analytic as analytic
 import tbswap.cli as cli
 import tbswap.states as states_module
-from tbswap.analytic import state_fidelity_analytic
+from tbswap.analytic import Channels, state_fidelity_analytic
 from tbswap.channel import (
     ChannelParams,
     TransducerParams,
@@ -204,9 +207,67 @@ def test_analytic_fidelity_decreases_with_bins():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_analytic_fidelity_rejects_multiphoton():
-    with pytest.raises(ValueError):
-        state_fidelity_analytic(QubitTimeBinSpec(k=2, n=2), ChannelParams(eta=1.0, N=0.0))
+def test_analytic_fidelity_rejects_multiphoton_off_two_bins():
+    # QubitTimeBinSpec refuses these; columns of k and n must be refused too
+    p = ChannelParams(eta=1.0, N=0.0)
+    for k, n in (([2, 3], [2, 2]), ([2, 2], [1, 0])):
+        with pytest.raises(ValueError):
+            state_fidelity_analytic(SimpleNamespace(k=np.array(k), n=np.array(n)), p)
+
+
+def _two_bin_fidelity_mpmath(n, eta, t):
+    """F(k = 2, n) = (1/2)(P_nn P_00 + c^2) at 50 digits, each overlap the
+    radial characteristic-function integral int_0^inf e^(-t x) f(x) dx:
+    f = L_n(eta x) L_n(x) for P_nn, 1 for P_00, eta^(n/2) x^n/n! for the
+    coherence c = <n|E(|n><0|)|0>."""
+    with mpmath.workdps(50):
+        eta, t = mpmath.mpf(eta), mpmath.mpf(t)
+
+        def overlap(f):
+            return mpmath.quad(lambda x: mpmath.exp(-t * x) * f(x), [0, mpmath.inf])
+
+        coeffs = [(-1) ** j * mpmath.binomial(n, j) / mpmath.factorial(j)
+                  for j in reversed(range(n + 1))]
+
+        def laguerre(x):
+            return mpmath.polyval(coeffs, x)
+
+        p_nn = overlap(lambda x: laguerre(eta * x) * laguerre(x))
+        c = overlap(lambda x: mpmath.sqrt(eta) ** n * x**n / mpmath.factorial(n))
+        return (p_nn * overlap(lambda x: 1) + c * c) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_two_bin_analytic_fidelity_matches_mpmath(n):
+    channels = [ChannelParams(eta=1.0, N=0.0), ChannelParams.from_eta_nbar(0.3, 0.0)]
+    channels += [ChannelParams.from_eta_nbar(eta, nbar)
+                 for eta, nbar in ((0.6, 0.1), (0.45, 0.4), (0.8, 1.5))]
+    for p in channels:
+        want = float(_two_bin_fidelity_mpmath(n, p.eta, p.t))
+        assert state_fidelity_analytic(QubitTimeBinSpec(k=2, n=n), p) == pytest.approx(
+            want, rel=1e-12)
+
+
+@given(st.floats(min_value=0.3, max_value=1.0),
+       st.floats(min_value=0.0, max_value=0.4),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=30, deadline=None)
+def test_two_bin_fidelity_paths_agree_random(eta, nbar, n):
+    spec = QubitTimeBinSpec(k=2, n=n)
+    p = ChannelParams.from_eta_nbar(eta, nbar)
+    a = state_fidelity_analytic(spec, p)
+    o = state_fidelity_oracle(spec, p, TruncationConfig.for_encoding(n))
+    assert o == pytest.approx(a, abs=PATH_EQUIVALENCE_TOL)
+
+
+def test_binomial_form_at_one_photon_is_the_two_bin_form():
+    channels = Channels.of(ChannelParams.from_eta_nbar(eta, nbar)
+                           for eta in np.linspace(0.01, 1.0, 40)
+                           for nbar in np.linspace(0.0, 3.0, 40))
+    _, u, _, _, s, q = analytic._terms(channels.eta, channels.t)
+    binomial = 0.5 * u * u * (analytic._photon_sums(np.ones(s.size, dtype=int), s, q) + q)
+    today = state_fidelity_analytic(QubitTimeBinSpec(k=2), channels)
+    np.testing.assert_allclose(binomial, today, rtol=4e-15, atol=0.0)
 
 
 def test_analytic_fidelity_monotone_in_noise_and_transmissivity():
