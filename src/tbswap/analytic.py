@@ -36,9 +36,9 @@ ImpossibleEventError if any point has h = 0.
 
 Shapes: every function takes channels p, anything with attributes eta and t
 (a ChannelParams, or a Channels of arrays), and integer bin counts k, and
-broadcasts them together. Arrays in give arrays out; a ChannelParams and an
-int give Python numbers. optimal_k scans a (points x k) array in blocks of
-at most BLOCK elements.
+broadcasts them together; photon numbers n broadcast to that shape. Arrays
+in give arrays out; a ChannelParams and an int give Python numbers.
+optimal_k scans a (points x k) array in blocks of at most BLOCK elements.
 """
 
 from __future__ import annotations
@@ -85,13 +85,14 @@ class Channels(NamedTuple):
 class SwapFidelityResult:
     """Closed-form output at one operating point, or arrays of them.
 
-    K0 is the unnormalized success weight of the canonical herald (the
-    pattern probability) and log_K0 its logarithm, finite where K0
-    underflows; fidelity is the heralded overlap with |Phi+>.
+    k and n are the bin and photon numbers as given, numbers or arrays. K0
+    is the unnormalized success weight of the canonical herald (the pattern
+    probability) and log_K0 its logarithm, finite where K0 underflows;
+    fidelity is the heralded overlap with |Phi+>.
     """
 
     k: Any
-    n: int
+    n: Any
     K0: Any
     log_K0: Any
     fidelity: Any
@@ -222,19 +223,31 @@ def state_fidelity_analytic(spec, p: ChannelParams) -> float:
     return _out(shape, fid)[0]
 
 
-def swap_fidelity_k(p: ChannelParams, k: int) -> SwapFidelityResult:
-    """Heralded-swap fidelity for the single-photon k-bin encoding.
+def swap_fidelity_k(p: ChannelParams, k: int, n: int = 1) -> SwapFidelityResult:
+    """Heralded-swap fidelity of the canonical herald, n photons at port A in
+    every bin; n broadcasts to the shape of k and p, as in
+    state_fidelity_analytic.
 
-    K0 F = (1/4) hd^k + (1/4) bc^k regardless of parity; K0 takes the odd or
-    even branch. Both are divided by hd^k (module docstring), so the result
-    is finite and in [0, 1] for every k and every channel with h > 0.
+    Single photons (n = 1) take the k-bin form: K0 F = (1/4) hd^k + (1/4)
+    bc^k regardless of parity, and K0 takes the odd or even branch. Both are
+    divided by hd^k (module docstring), so the result is finite and in
+    [0, 1] for every k and every channel with h > 0. Points with n = 2, two
+    bins only, take the two-photon form of swap_fidelity_n2; any other n, or
+    n = 2 at k != 2, raises ValueError.
     """
     shape, eta, t, kk = _flat(p, k)
     _, _, _, extra, big, rk_m1, log_k0 = _bins(eta, t, kk)
-    fid = (0.5 + 0.25 * rk_m1) / big
-    infid = (extra - 0.25 * rk_m1) / big
-    fid, infid, k0, log_k0 = _out(shape, fid, infid, np.exp(log_k0), log_k0)
-    return SwapFidelityResult(k=k, n=1, K0=k0, log_K0=log_k0, fidelity=fid, infidelity=infid)
+    cols = ((0.5 + 0.25 * rk_m1) / big, (extra - 0.25 * rk_m1) / big, np.exp(log_k0), log_k0)
+    if (np.asarray(n) != 1).any():
+        ns = np.broadcast_to(n, shape).ravel()
+        two = ns != 1
+        if ((ns[two] != 2) | (kk[two] != 2)).any():
+            raise ValueError("the swap takes n = 1 photon, or n = 2 only at k = 2")
+        r = swap_fidelity_n2(Channels(eta[two], t[two]))
+        for col, value in zip(cols, (r.fidelity, r.infidelity, r.K0, r.log_K0)):
+            col[two] = value
+    fid, infid, k0, log_k0 = _out(shape, *cols)
+    return SwapFidelityResult(k=k, n=n, K0=k0, log_K0=log_k0, fidelity=fid, infidelity=infid)
 
 
 def _two_bin(n: int, shape, tr, tr_f, tr_inf, log_scale) -> SwapFidelityResult:

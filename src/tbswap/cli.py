@@ -13,17 +13,19 @@ Subcommands:
   written as CSV with the fixed header ``axis1,axis2,quantity,value,method``
   plus a ``<name>.meta.json`` sidecar (version, config hash, tolerances).
 
-Every quantity that ``fidelity`` and ``sweep`` evaluate is one entry of
-``QUANTITIES``: its closed-form call, its oracle call, and the parameters it
-takes, which config validation reads. Every quantity that takes a photon
-number runs at n = 1 and at n = 2 (two bins, k = 2) by every method, state
-fidelity included. The closed form evaluates a whole section in one array
-call. The oracle evaluates a section in a few batched calls: per photon
+Every quantity that ``sweep`` evaluates is one entry of ``QUANTITIES``: its
+closed-form call, its oracle call, and the parameters it takes, which config
+validation reads. Every quantity that takes a photon number runs at n = 1
+and at n = 2 (two bins, k = 2) by every method; the closed forms take n as a
+column, as they take k, so a section is one array call whatever its photon
+numbers. The oracle evaluates a section in a few batched calls: per photon
 number, one (distinct channels x distinct k) array, whose channel images
 come from one Kraus kernel call per environment size, and whose optimal_k
-scan is one (channels x k) array; a ``fidelity`` query runs the same steps
-through the one-point API (heralded_state, state_fidelity_oracle). The
-oracle sizes its own Fock space, so every call takes the one ``TRUNCATION``.
+scan is one (channels x k) array. A ``fidelity`` query is one point, so
+``_fidelity_block`` calls the same closed forms at that point and the
+oracle's one-point API (state_fidelity_oracle, and heralded_state on the
+canonical n-photon herald). The oracle sizes its own Fock space, so every
+call takes the one ``TRUNCATION``.
 
 Exit codes: 0 success, 1 usage or config-schema error, 2 unphysical channel
 parameters (the physicality margin is reported, never clamped), 3 request
@@ -68,7 +70,6 @@ from .analytic import (
     DEFAULT_K_MAX,
     LOG_MIN,
     Channels,
-    SwapFidelityResult,
     optimal_k,
     pick_k,
     state_fidelity_analytic,
@@ -424,23 +425,6 @@ def _points(points: list[dict[str, Any]]) -> _Points:
     )
 
 
-def _swap_analytic(s: _Points, column: str) -> tuple[np.ndarray, SwapFidelityResult]:
-    """A column of the swap result, from the n = 2 closed form where n is 2
-    and the k-bin form elsewhere, and the result."""
-    two = s.n == 2
-    if two.all():
-        result = swap_fidelity_n2(s.channels)
-    else:
-        result = swap_fidelity_k(s.channels, s.k)
-        if two.any():
-            other = swap_fidelity_n2(s.channels)
-            result = SwapFidelityResult(**{
-                name: np.where(two, getattr(other, name), getattr(result, name))
-                for name in ("k", "n", "K0", "log_K0", "fidelity", "infidelity")
-            })
-    return getattr(result, column), result
-
-
 TRUNCATION = TruncationConfig()  # for every n: the oracle sizes its system modes
 
 # The oracle evaluates at most this many (channel, k) heralds at once. One
@@ -501,21 +485,6 @@ def _oracle_optimal_k(channels: list[ChannelParams], k_max: int) -> tuple[np.nda
     return k_star, best
 
 
-def _oracle_point(kind: str, p: ChannelParams,
-                  spec: QubitTimeBinSpec) -> tuple[float, float | None]:
-    """One oracle fidelity, state or swap, and the swap's log K0: the
-    one-point API, as fidelity queries use it."""
-    if kind == "state":
-        return state_fidelity_oracle(spec, p, TRUNCATION), None
-    if spec.n == 1:
-        pattern = DetectionPattern.canonical(spec.k)
-    else:
-        pattern = DetectionPattern(k=2, counts=((2, 0), (2, 0)))
-    h = heralded_state(p, p, spec, pattern, TRUNCATION)
-    return h.fidelity_phi_plus, h.log_success_probability
-
-
-Engine = Callable[[_Points], tuple[np.ndarray, SwapFidelityResult | None]]
 TWO_BINS = np.array([2])
 
 
@@ -523,13 +492,12 @@ TWO_BINS = np.array([2])
 class Quantity:
     """One evaluable quantity: two independent evaluations and its parameters.
 
-    analytic maps a section's points to (values, the swap result behind them
-    or None), in one call into the closed-form array engine; oracle maps
-    them to values through the brute-force engine, a few batched calls per
-    section.
+    analytic and oracle each map a section's points to an array of values:
+    analytic in one call into the closed-form array engine, oracle through
+    the brute-force engine, a few batched calls per section.
     """
 
-    analytic: Engine
+    analytic: Callable[[_Points], np.ndarray]
     oracle: Callable[[_Points], np.ndarray]
     takes_k: bool = False  # a per-bin quantity: needs k, accepts n
     scans_k: bool = False  # scans k = 1..k_max itself
@@ -537,35 +505,32 @@ class Quantity:
 
 QUANTITIES: dict[str, Quantity] = {
     "state_fidelity": Quantity(
-        lambda s: (state_fidelity_analytic(s, s.channels), None),
+        lambda s: state_fidelity_analytic(s, s.channels),
         _oracle_grid(lambda n, channels, ks: state_fidelities(n, channels, ks, TRUNCATION)),
         takes_k=True,
     ),
     "swap_fidelity": Quantity(
-        lambda s: _swap_analytic(s, "fidelity"),
+        lambda s: swap_fidelity_k(s.channels, s.k, s.n).fidelity,
         _oracle_grid(_herald_fidelities),
         takes_k=True,
     ),
     "swap_infidelity": Quantity(
-        lambda s: _swap_analytic(s, "infidelity"),
+        lambda s: swap_fidelity_k(s.channels, s.k, s.n).infidelity,
         _oracle_grid(lambda n, channels, ks: 1.0 - _herald_fidelities(n, channels, ks)),
         takes_k=True,
     ),
     "fidelity_ratio_n1_n2": Quantity(
-        lambda s: (
-            swap_fidelity_n1(s.channels).fidelity / swap_fidelity_n2(s.channels).fidelity,
-            None,
-        ),
+        lambda s: swap_fidelity_n1(s.channels).fidelity / swap_fidelity_n2(s.channels).fidelity,
         lambda s: (_herald_fidelities(1, s.params, TWO_BINS)
                    / _herald_fidelities(2, s.params, TWO_BINS))[:, 0],
     ),
     "optimal_k": Quantity(
-        lambda s: (optimal_k(s.channels, s.k_max)[0], None),
+        lambda s: optimal_k(s.channels, s.k_max)[0],
         lambda s: _oracle_optimal_k(s.params, s.k_max)[0],
         scans_k=True,
     ),
     "swap_infidelity_at_optimal_k": Quantity(
-        lambda s: (optimal_k(s.channels, s.k_max)[1], None),
+        lambda s: optimal_k(s.channels, s.k_max)[1],
         lambda s: _oracle_optimal_k(s.params, s.k_max)[1],
         scans_k=True,
     ),
@@ -574,7 +539,7 @@ QUANTITIES: dict[str, Quantity] = {
 
 def _analytic_section(quantity: str, points: list[dict[str, Any]]) -> list[float]:
     """Values of a section's points, in one array call into the closed-form engine."""
-    return QUANTITIES[quantity].analytic(_points(points))[0].tolist()
+    return QUANTITIES[quantity].analytic(_points(points)).tolist()
 
 
 def _oracle_section(quantity: str, points: list[dict[str, Any]]) -> list[float]:
@@ -661,23 +626,28 @@ def config_hash(sections: Sequence[SweepSection]) -> str:
 
 def write_sweep(sections: Sequence[SweepSection], out: Path) -> int:
     """Evaluate the sections into the CSV out and its sidecar; returns the row
-    count. out is opened (to append) before the work, so a path that cannot be
-    written fails first, and a sweep that raises leaves out as it was, or absent."""
+    count. Both files are opened (to append) before the work, so a path that
+    cannot be written fails first, and a sweep that raises leaves each as it
+    was, or absent."""
     out.parent.mkdir(parents=True, exist_ok=True)
-    created = not out.exists()
+    paths = (out, out.with_suffix(".meta.json"))
+    created = [not path.exists() for path in paths]
     try:
-        with open(out, "a", newline="", encoding="utf-8") as handle:
+        with open(out, "a", newline="", encoding="utf-8") as handle, \
+                open(paths[1], "a", encoding="utf-8") as sidecar:
             rows = run_sections(sections)
-            if not created:
-                handle.truncate(0)
+            for file, new in zip((handle, sidecar), created):
+                if not new:
+                    file.truncate(0)
             csv.writer(handle, lineterminator="\n").writerows([CSV_HEADER, *rows])
+            meta = {"version": __version__, "config_hash": config_hash(sections),
+                    "tolerances": TOLERANCES}
+            sidecar.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     except BaseException:
-        if created:
-            out.unlink(missing_ok=True)
+        for path, new in zip(paths, created):
+            if new:
+                path.unlink(missing_ok=True)
         raise
-    meta = {"version": __version__, "config_hash": config_hash(sections), "tolerances": TOLERANCES}
-    meta_path = out.with_suffix(".meta.json")
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return len(rows)
 
 
@@ -724,34 +694,37 @@ def _given(args: argparse.Namespace) -> dict[str, Any]:
     return {name: value for name, value in vars(args).items() if value is not None}
 
 
+def _fidelity_block(kind: str, method: str, p: ChannelParams,
+                    spec: QubitTimeBinSpec) -> dict[str, float]:
+    """One fidelity query by one method: its fidelity and infidelity, and a
+    swap's herald weight K0 and log K0."""
+    if kind == "state":
+        if method == "analytic":
+            fid = state_fidelity_analytic(spec, p)
+        else:
+            fid = state_fidelity_oracle(spec, p, TRUNCATION)
+        return {"fidelity": fid, "infidelity": 1.0 - fid}
+    if method == "analytic":
+        r = swap_fidelity_k(p, spec.k, spec.n)
+        return {"fidelity": r.fidelity, "infidelity": r.infidelity, "K0": r.K0,
+                "log_K0": r.log_K0}
+    h = heralded_state(p, p, spec, DetectionPattern.canonical(spec.k, spec.n), TRUNCATION)
+    fid, log_k0 = h.fidelity_phi_plus, h.log_success_probability
+    return {"fidelity": fid, "infidelity": 1.0 - fid, "K0": math.exp(log_k0), "log_K0": log_k0}
+
+
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    quantity = QUANTITIES[f"{args.kind}_fidelity"]
     spec = QubitTimeBinSpec(k=args.k, n=args.n)  # refuses n = 2 at k != 2 (exit 1)
-    params = _given(args)
-    point = _points([params])
-    p = point.params[0]
+    p = _channel_for(_given(args))
     blocks: dict[str, dict[str, Any]] = {}
     refusal = None
     for method in _methods(args.method):
-        if method == "analytic":
-            values, result = quantity.analytic(point)
-            fid = float(values[0])
-            block = {"fidelity": fid, "infidelity": 1.0 - fid}
-            if result is not None:
-                block.update(infidelity=float(result.infidelity[0]), K0=float(result.K0[0]),
-                             log_K0=float(result.log_K0[0]))
-        else:
-            try:
-                fid, log_k0 = _oracle_point(args.kind, p, spec)
-            except (TruncationError, ImpossibleEventError) as exc:
-                if args.method != "both":
-                    raise
-                refusal, blocks[method] = exc, {"refused": _refusal_text(exc)}  # exits 3 below
-                continue
-            block = {"fidelity": fid, "infidelity": 1.0 - fid}
-            if log_k0 is not None:
-                block.update(K0=math.exp(log_k0), log_K0=log_k0)
-        blocks[method] = block
+        try:
+            blocks[method] = _fidelity_block(args.kind, method, p, spec)
+        except (TruncationError, ImpossibleEventError) as exc:
+            if method == "analytic" or args.method != "both":
+                raise
+            refusal, blocks[method] = exc, {"refused": _refusal_text(exc)}  # exits 3 below
 
     base = {"kind": args.kind, "eta": p.eta, "N": p.N, "k": args.k, "n": args.n}
     where = f"eta = {_fmt(p.eta)}, N = {_fmt(p.N)}, k = {args.k}, n = {args.n}"

@@ -201,12 +201,9 @@ def state_fidelities(
     return _contract(per_bin[:, None], np.asarray(ks)[None, :])
 
 
-@lru_cache(maxsize=128)
 def _channel_images(n: int, p: ChannelParams, cfg: TruncationConfig) -> np.ndarray:
     """channel_images for one channel, read-only, (2, 2, d_sys, d_sys): four
-    apply_channel_oracle calls. They do not depend on k, so calls at one
-    channel compute them once. Bounded like channel._mixing_unitary.
-    """
+    apply_channel_oracle calls, whatever k is."""
     d_in = n + 1
     images = np.array(
         [
@@ -226,9 +223,8 @@ def channel_output(
     Linearity of the channel lets each per-bin block be mapped
     independently; only four distinct single-mode images are ever needed
     (|n><n|, |0><0|, |n><0|, |0><n|), whatever k is. They are the output's
-    even bin, cached per (n, channel, truncation) in a bounded cache, so
-    calls that differ only in k reuse them. Time and memory do not depend
-    on k. The bins have cfg.d_sys >= n + 1 levels.
+    even bin, so time and memory do not depend on k. The bins have
+    cfg.d_sys >= n + 1 levels.
     """
     return HybridDensity(spec.k, _channel_images(spec.n, p, cfg))
 

@@ -101,11 +101,12 @@ class DetectionPattern:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def canonical(cls, k: int) -> "DetectionPattern":
-        """The reference herald |1010...>: one photon at port A in every bin;
-        more than MAX_BINS bins raise TruncationError."""
+    def canonical(cls, k: int, n: int = 1) -> "DetectionPattern":
+        """The reference herald of the n-photon encoding, the one that
+        canonical_heralds scores: n photons at port A in every bin (|1010...>
+        for single photons); more than MAX_BINS bins raise TruncationError."""
         check_bins(k)
-        return cls(k=k, counts=((1, 0),) * k)
+        return cls(k=k, counts=((n, 0),) * k)
 
     @property
     def total(self) -> int:
@@ -302,7 +303,7 @@ def heralded_state(
     This is the one-point view of canonical_heralds' steps: one trace tensor
     per distinct (bin parity, counts) pair (two for the canonical pattern,
     at most four for any one-photon-per-bin pattern), and O(k) only in
-    counting them; the channel images come from channel_output's cache, at
+    counting them; the channel images come from channel_output, at
     states.sized's size, at most 2n + 5: a count above n + 2 at a port, or
     more than MAX_BINS bins, raise TruncationError.
     """

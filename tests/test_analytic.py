@@ -102,6 +102,39 @@ def test_two_photon_form_identity_and_frozen():
     assert r61.fidelity == pytest.approx(0.8071960345186738, rel=1e-12)
 
 
+def test_photon_number_column_takes_each_closed_form_exactly():
+    """On a mixed (k, n) array, n = 2 rows are swap_fidelity_n2's and n = 1
+    rows the k-bin form's, bit for bit: the values the two calls joined by
+    np.where gave before n was a column."""
+    ps = [P_06_01, P_08_01, P_08_005, ChannelParams.from_eta_nbar(0.45, 0.22)]
+    channels = Channels.of(ps * 2)
+    ks = np.array([2, 2, 2, 2, 1, 2, 3, 7])
+    ns = np.array([2, 1, 2, 1, 1, 2, 1, 1])
+    mixed = swap_fidelity_k(channels, ks, ns)
+    assert mixed.n is ns
+    single, two = swap_fidelity_k(channels, ks), swap_fidelity_n2(channels)
+    for f in ("K0", "log_K0", "fidelity", "infidelity"):
+        want = np.where(ns == 2, getattr(two, f), getattr(single, f))
+        np.testing.assert_array_equal(getattr(mixed, f), want)
+
+
+def test_photon_number_at_one_point_gives_python_floats():
+    r = swap_fidelity_k(P_06_01, 2, 2)
+    assert (r.k, r.n) == (2, 2)
+    for f in ("K0", "log_K0", "fidelity", "infidelity"):
+        assert type(getattr(r, f)) is float
+        assert getattr(r, f) == getattr(swap_fidelity_n2(P_06_01), f)
+
+
+def test_photon_number_outside_the_swap_encodings_is_refused():
+    with pytest.raises(ValueError, match="n = 2 only at k = 2"):
+        swap_fidelity_k(P_06_01, 2, 3)
+    with pytest.raises(ValueError, match="n = 2 only at k = 2"):
+        swap_fidelity_k(P_06_01, 3, 2)
+    with pytest.raises(ValueError, match="n = 2 only at k = 2"):
+        swap_fidelity_k(Channels.of([P_06_01, P_08_01]), np.array([2, 3]), np.array([2, 2]))
+
+
 def test_single_photon_beats_two_photon():
     """Frozen fidelity ratios for the n = 1 versus n = 2 comparison."""
     assert swap_fidelity_n1(P_06_01).fidelity / swap_fidelity_n2(P_06_01).fidelity == (

@@ -4,8 +4,8 @@ benchmarks/tracing.py wraps names in tbswap's modules by attribute lookup
 and skips a name that has gone, which leaves its declared per-layer metrics
 out of a traced run. This test installs the benchmark's own tracer, reading
 its HOOKS table at run time, runs one oracle query and one method-both
-sweep through cli.main from cold oracle caches, and requires that every
-hook found its target and that the hooks that read call arguments ran.
+sweep through cli.main from a cold mixing-unitary cache, and requires that
+every hook found its target and that the hooks that read call arguments ran.
 """
 
 import importlib.util
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import tbswap.channel as channel
 import tbswap.cli as cli
-import tbswap.states as states
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -39,9 +38,8 @@ def test_every_benchmark_hook_resolves_and_runs(tmp_path, capsys):
     cfg_path = tmp_path / "both.json"
     cfg_path.write_text(json.dumps(config))
     tracer = tracing.Tracer()
-    # Cold caches, so the hooks that count work (the channel kernel and the
+    # A cold cache, so the hooks that count work (the channel kernel and the
     # mixing-unitary keys) run whatever earlier tests have already computed.
-    states._channel_images.cache_clear()
     channel._mixing_unitary.cache_clear()
     try:
         tracer.install()

@@ -813,11 +813,13 @@ def test_sweep_photon_number_axis_takes_each_closed_form():
         "fixed": {"k": 2, "nbar": 0.1},
     })
     assert not violations
-    values = [float(row[3]) for row in run_sections([section])]
+    values = [row[3] for row in run_sections([section])]
     p6, p8 = (ChannelParams.from_eta_nbar(eta, 0.1) for eta in (0.6, 0.8))
     n1 = [swap_fidelity_k(p6, 2).fidelity, swap_fidelity_k(p8, 2).fidelity]
     n2 = [swap_fidelity_n2(p6).fidelity, swap_fidelity_n2(p8).fidelity]
-    assert values == pytest.approx(n1 + n2 + n1, rel=1e-11)
+    assert values == [cli._fmt(v) for v in n1 + n2 + n1]
+    params = [{"n": n, "eta": eta, "k": 2, "nbar": 0.1} for n in (1, 2, 1) for eta in (0.6, 0.8)]
+    assert cli._analytic_section("swap_fidelity", params) == n1 + n2 + n1
 
 
 def test_sweep_config_violations_are_exhaustive(tmp_path, capsys):
@@ -1015,14 +1017,38 @@ def test_refused_sweep_leaves_out_as_it_was(tmp_path, capsys):
     assert code == EXIT_INTRACTABLE
     assert out.read_bytes() == b"kept\n"
     assert not out.with_suffix(".meta.json").exists()
+    out.with_suffix(".meta.json").write_bytes(b"kept too\n")
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out))
+    assert code == EXIT_INTRACTABLE
+    assert out.with_suffix(".meta.json").read_bytes() == b"kept too\n"
 
 
 def test_sweep_over_a_longer_file_writes_the_same_bytes(tmp_path, capsys):
     fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
     stale.write_bytes(b"x" * 100_000)
+    stale.with_suffix(".meta.json").write_bytes(b"x" * 10_000)
     for out in (fresh, stale):
         assert run_cli(capsys, "sweep", "--preset", "fig4b", "--out", str(out))[0] == EXIT_OK
     assert stale.read_bytes() == fresh.read_bytes()
+    assert (stale.with_suffix(".meta.json").read_bytes()
+            == fresh.with_suffix(".meta.json").read_bytes())
+
+
+def test_sweep_unwritable_sidecar_fails_before_evaluating(tmp_path, capsys, monkeypatch):
+    """The sidecar is opened with the CSV, before the work: a sidecar path
+    that cannot be written costs no evaluation and leaves the CSV as it was."""
+    evaluated = []
+    monkeypatch.setattr(cli, "run_sections", lambda sections: evaluated.append(sections))
+    out = tmp_path / "side" / "x.csv"
+    out.with_suffix(".meta.json").mkdir(parents=True)
+    argv = ("sweep", "--preset", "fig4b", "--out", str(out))
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, evaluated) == (EXIT_USAGE, "", [])
+    assert err.startswith("file error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+    out.write_bytes(b"kept\n")
+    assert run_cli(capsys, *argv)[0] == EXIT_USAGE
+    assert (out.read_bytes(), evaluated) == (b"kept\n", [])
 
 
 # The parser is built once per process; each query must see only its own options.

@@ -109,6 +109,19 @@ def test_detection_pattern_validation():
     assert pat.total == 3
 
 
+def test_canonical_two_photon_herald():
+    """The n-photon canonical herald is the one canonical_heralds scores."""
+    pat = DetectionPattern.canonical(2, 2)
+    assert pat.counts == ((2, 0), (2, 0))
+    assert classify_two_photon(pat) is HeraldClass.PhiPlus
+    p = ChannelParams.from_eta_nbar(0.6, 0.1)
+    cfg = TruncationConfig.for_encoding(2)
+    one = heralded_state(p, p, QubitTimeBinSpec(k=2, n=2), pat, cfg)
+    fid, log_k0 = swap_module.canonical_heralds(2, [p], np.array([2]), cfg)
+    assert one.fidelity_phi_plus == pytest.approx(fid[0, 0], abs=1e-12)
+    assert one.log_success_probability == pytest.approx(log_k0[0, 0], abs=1e-12)
+
+
 def test_parity_trace_examples():
     assert parity_trace(DetectionPattern.canonical(2)) == (1, 1)
     assert parity_trace(DetectionPattern(k=2, counts=((1, 0), (0, 1)))) == (-1, 1)
